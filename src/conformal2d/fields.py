@@ -20,7 +20,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, PoleError, ConjugatingUnsupported
-from .geometry import Vec2, Sym2
+from .geometry import Vec2, Sym2, finite_coords
 from .mobius import AnalyticMap, MobiusMap, ExpMap, map_from_dict, map_to_dict
 from .radial import RadialProfile
 
@@ -73,6 +73,19 @@ class ScalarField:
     def value(self, x) -> float:
         return self.jet(x).value
 
+    def values(self, x1, x2) -> np.ndarray:
+        """Values on coordinate arrays of any (broadcast) shape.
+
+        Agrees with value() point by point.  This fallback loops value();
+        closed-form families override it with an array kernel that raises
+        what value() raises when any sample does.
+        """
+        x1, x2 = finite_coords(x1, x2)
+        out = np.empty(x1.shape)
+        for i in np.ndindex(x1.shape):
+            out[i] = self.value(Vec2(float(x1[i]), float(x2[i])))
+        return out
+
     def excluded(self, x) -> bool:
         return False
 
@@ -90,6 +103,9 @@ class ConstantField(ScalarField):
 
     def value(self, x) -> float:
         return self.c
+
+    def values(self, x1, x2) -> np.ndarray:
+        return np.full(finite_coords(x1, x2)[0].shape, float(self.c))
 
 
 @dataclass(frozen=True)
@@ -143,6 +159,12 @@ class Bubble(ScalarField):
         s = 8.0 * (dx.x1 * dx.x1 + dx.x2 * dx.x2) + self.b
         return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(s)
 
+    def values(self, x1, x2) -> np.ndarray:
+        x1, x2 = finite_coords(x1, x2)
+        d1, d2 = x1 - self.x0.x1, x2 - self.x0.x2
+        s = 8.0 * (d1 * d1 + d2 * d2) + self.b
+        return 2.0 * math.log(8.0 * self.a) - 2.0 * np.log(s)
+
     def radial_value(self, r: float) -> float:
         return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(8.0 * r * r + self.b)
 
@@ -181,6 +203,9 @@ class ChenLiBubble(ScalarField):
         dx = Vec2.of(x) - self.x0
         t = dx.x1 * dx.x1 + dx.x2 * dx.x2 + 8.0 * self.a * self.a
         return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(t)
+
+    def values(self, x1, x2) -> np.ndarray:
+        return self.as_bubble().values(x1, x2)
 
     def tail_mass(self, radius: float) -> float:
         """Exact integral of e^u outside the disc of given radius about x0."""
@@ -233,6 +258,17 @@ class LiouvilleField(ScalarField):
             raise DomainError("within guard radius of a critical point of f")
         m = 1.0 + abs(fj.value) ** 2
         return math.log(8.0) + 2.0 * math.log(abs(fj.d1)) - 2.0 * math.log(m)
+
+    def values(self, x1, x2) -> np.ndarray:
+        x1, x2 = finite_coords(x1, x2)
+        try:
+            w, d1 = self.f.values_d1(x1 + 1j * x2)
+        except PoleError as exc:
+            raise DomainError(str(exc)) from exc
+        if (np.abs(d1) < LIOUVILLE_GUARD).any():
+            raise DomainError("within guard radius of a critical point of f")
+        m = 1.0 + np.abs(w) ** 2
+        return math.log(8.0) + 2.0 * np.log(np.abs(d1)) - 2.0 * np.log(m)
 
     def schwarzian(self, x) -> complex:
         """S(f) = f'''/f' - (3/2)(f''/f')^2; controls the traceless part."""
@@ -374,6 +410,14 @@ class PullbackField(ScalarField):
         if abs(mj.d1) < 1e-300:
             raise DomainError("vanishing derivative in pullback")
         return self.base.value(Vec2.from_complex(mj.value)) + 2.0 * math.log(abs(mj.d1))
+
+    def values(self, x1, x2) -> np.ndarray:
+        x1, x2 = finite_coords(x1, x2)
+        w, d1 = self.map.values_d1(x1 + 1j * x2)
+        ad1 = np.abs(d1)
+        if (ad1 < 1e-300).any():
+            raise DomainError("vanishing derivative in pullback")
+        return self.base.values(w.real, w.imag) + 2.0 * np.log(ad1)
 
 
 def pullback(u: ScalarField, psi: AnalyticMap) -> PullbackField:

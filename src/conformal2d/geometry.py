@@ -20,6 +20,15 @@ def _require_finite(*values: float) -> None:
             raise ValueError(f"non-finite entry {v!r}")
 
 
+def finite_coords(x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate arrays broadcast to one float shape; like Vec2, rejects
+    non-finite entries."""
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise ValueError("non-finite coordinate entry")
+    return x1, x2
+
+
 @dataclass(frozen=True)
 class Vec2:
     """Point or vector in the plane."""

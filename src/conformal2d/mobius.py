@@ -46,6 +46,19 @@ class AnalyticMap:
     def jet(self, z: complex) -> MapJet:
         raise NotImplementedError
 
+    def values_d1(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Value and first derivative on a complex array of any shape.
+
+        Agrees with jet() point by point.  This fallback loops jet();
+        closed-form maps override it with an array kernel that raises what
+        jet() raises when any sample does.
+        """
+        z = np.asarray(z, dtype=complex)
+        w, d1 = np.empty(z.shape, dtype=complex), np.empty(z.shape, dtype=complex)
+        for i in np.ndindex(z.shape):
+            w[i], d1[i] = self.jet(complex(z[i]))[:2]
+        return w, d1
+
     def excluded(self, z: complex) -> bool:
         """Best-effort predicate for statically known excluded points."""
         return False
@@ -165,6 +178,15 @@ class MobiusMap(AnalyticMap):
         d3 = 6.0 * self.c * self.c * d1 / (den * den)
         return MapJet(value, d1, d2, d3)
 
+    def values_d1(self, z) -> tuple[np.ndarray, np.ndarray]:
+        zz = np.asarray(z, dtype=complex)
+        if self.conjugating:
+            zz = zz.conjugate()
+        den = self.c * zz + self.d
+        if (np.abs(den) < POLE_GUARD).any():
+            raise PoleError(f"evaluation within {POLE_GUARD} of pole")
+        return (self.a * zz + self.b) / den, 1.0 / (den * den)
+
     # -- group structure -------------------------------------------------
 
     def inverse(self) -> "MobiusMap":
@@ -255,6 +277,13 @@ class ComposedMap(AnalyticMap):
         d3 = jo.d3 * b1**3 + 3.0 * jo.d2 * b1 * b2 + jo.d1 * b3
         return MapJet(jo.value, d1, d2, d3)
 
+    def values_d1(self, z) -> tuple[np.ndarray, np.ndarray]:
+        wi, b1 = self.inner.values_d1(z)
+        wo, d1 = self.outer.values_d1(wi)
+        if self.outer.conjugating:
+            b1 = b1.conjugate()
+        return wo, d1 * b1
+
 
 @dataclass(frozen=True)
 class PolynomialMap(AnalyticMap):
@@ -288,6 +317,14 @@ class PolynomialMap(AnalyticMap):
             raise DomainError("within guard radius of a critical point")
         return MapJet(complex(value), complex(d1), complex(d2), complex(d3))
 
+    def values_d1(self, z) -> tuple[np.ndarray, np.ndarray]:
+        z = np.asarray(z, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)
+        d1 = npoly.polyval(z, npoly.polyder(c, 1))
+        if (np.abs(d1) < CRITICAL_GUARD).any():
+            raise DomainError("within guard radius of a critical point")
+        return npoly.polyval(z, c), d1
+
 
 @dataclass(frozen=True)
 class ExpMap(AnalyticMap):
@@ -296,6 +333,13 @@ class ExpMap(AnalyticMap):
     def jet(self, z: complex) -> MapJet:
         w = cmath.exp(z)
         return MapJet(w, w, w, w)
+
+    def values_d1(self, z) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.exp(np.asarray(z, dtype=complex))
+        if not np.isfinite(w).all():
+            raise OverflowError("math range error")  # as cmath.exp raises
+        return w, w
 
 
 MAP_KINDS = {"mobius", "polynomial", "exp"}

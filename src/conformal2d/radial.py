@@ -115,6 +115,7 @@ def minimize_on_circles(u, center, radii, m: int = 64) -> RadialProfile:
     """
     c = Vec2.of(center)
     thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
+    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
     out = []
     for r in np.asarray(radii, dtype=float):
         if r == 0.0:
@@ -124,7 +125,7 @@ def minimize_on_circles(u, center, radii, m: int = 64) -> RadialProfile:
         def on_circle(theta: float, rr: float = r) -> float:
             return u.value(Vec2(c.x1 + rr * math.cos(theta), c.x2 + rr * math.sin(theta)))
 
-        vals = [on_circle(t) for t in thetas]
+        vals = u.values(c.x1 + r * cos_t, c.x2 + r * sin_t)
         j = int(np.argmin(vals))
         width = 2.0 * math.pi / m
         res = minimize_scalar(on_circle, bounds=(thetas[j] - width, thetas[j] + width),

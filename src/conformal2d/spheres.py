@@ -31,16 +31,22 @@ def ms_transform(u: ScalarField, x, lam: float) -> PullbackField:
     return pullback(u, MobiusMap.sphere_inversion(Vec2.of(x), lam))
 
 
-def ms_value(u: ScalarField, x, lam: float, y) -> float:
-    """Value-only evaluation of u_{x,lam}(y), cheaper than a jet."""
-    xv, yv = Vec2.of(x), Vec2.of(y)
-    d = yv - xv
-    rho2 = d.x1 * d.x1 + d.x2 * d.x2
-    if rho2 == 0.0:
+def _ms_values(u: ScalarField, x: Vec2, lam: float, y1: np.ndarray,
+               y2: np.ndarray) -> np.ndarray:
+    """u_{x,lam} on coordinate arrays, through one call of u.values."""
+    d1, d2 = y1 - x.x1, y2 - x.x2
+    rho2 = d1 * d1 + d2 * d2
+    if (rho2 == 0.0).any():
         raise DomainError("transform undefined at its own center")
     scale = lam * lam / rho2
-    base = u.value(Vec2(xv.x1 + scale * d.x1, xv.x2 + scale * d.x2))
-    return base - 2.0 * math.log(rho2 / (lam * lam))
+    base = u.values(x.x1 + scale * d1, x.x2 + scale * d2)
+    return base - 2.0 * np.log(rho2 / (lam * lam))
+
+
+def ms_value(u: ScalarField, x, lam: float, y) -> float:
+    """Value-only evaluation of u_{x,lam}(y), cheaper than a jet."""
+    yv = Vec2.of(y)
+    return float(_ms_values(u, Vec2.of(x), lam, np.array(yv.x1), np.array(yv.x2)))
 
 
 class SlackStats(NamedTuple):
@@ -60,26 +66,23 @@ def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
 
     Radii are log-spaced from just outside the fixed sphere to
     R_out = max(100, 10 lam); the predicate tolerance absorbs jet roundoff
-    through a 1e-9 (1 + |u|) allowance.
+    through a 1e-9 (1 + |u|) allowance.  The whole grid is evaluated in
+    one batch.  Non-finite slack anywhere fails closed: the radius is
+    inadmissible and min_slack is NaN.
     """
     xv = Vec2.of(x)
     if r_out is None:
         r_out = max(100.0, 10.0 * lam)
-    radii = np.geomspace(RHO_MIN_FACTOR * lam, r_out, n_radii)
+    radii = np.geomspace(RHO_MIN_FACTOR * lam, r_out, n_radii)[:, None]
     dirs = _sample_dirs(n_angles)
-    min_slack = math.inf
-    max_abs = 0.0
-    admissible = True
-    for rho in radii:
-        for ex, ey in dirs:
-            y = Vec2(xv.x1 + rho * ex, xv.x2 + rho * ey)
-            uy = u.value(y)
-            slack = uy - ms_value(u, xv, lam, y)
-            min_slack = min(min_slack, slack)
-            max_abs = max(max_abs, abs(slack))
-            if slack < -SLACK_TOL_SCALE * (1.0 + abs(uy)):
-                admissible = False
-    return SlackStats(min_slack, max_abs, admissible)
+    y1 = xv.x1 + radii * dirs[:, 0]
+    y2 = xv.x2 + radii * dirs[:, 1]
+    uy = u.values(y1, y2)
+    slack = uy - _ms_values(u, xv, lam, y1, y2)
+    finite = bool(np.isfinite(slack).all())
+    admissible = finite and bool((slack >= -SLACK_TOL_SCALE * (1.0 + np.abs(uy))).all())
+    min_slack = float(slack.min()) if finite else math.nan
+    return SlackStats(min_slack, float(np.abs(slack).max()), admissible)
 
 
 @dataclass(frozen=True)
@@ -133,9 +136,9 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     if top.admissible:
         return MovingSphereReport(xv, None, True, top.min_slack, None, None)
 
-    lo = lam_max
-    lo_stats = top
+    lo, lo_stats = lam_max, top
     for _ in range(60):
+        hi, hi_stats = lo, lo_stats
         lo *= 0.5
         lo_stats = stats(lo)
         if lo_stats.admissible:
@@ -143,17 +146,16 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     else:
         raise DomainError("no admissible sphere radius found above lam_max / 2^60")
 
-    hi = 2.0 * lo
     while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)
         st = stats(mid)
         if st.admissible:
             lo, lo_stats = mid, st
         else:
-            hi = mid
+            hi, hi_stats = mid, st
 
     lam_bar = lo
-    if stats(lo).min_slack > 0.0 > stats(hi).min_slack:
+    if lo_stats.min_slack > 0.0 > hi_stats.min_slack:
         lam_bar = float(brentq(lambda lam: stats(lam).min_slack, lo, hi,
                                xtol=1e-14 * lo))
     equality_residual = stats(lam_bar).max_abs_slack

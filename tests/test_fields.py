@@ -16,11 +16,13 @@ from conformal2d import (
     ExpMap,
     LiouvilleField,
     MobiusMap,
+    PoleError,
     PolynomialMap,
     QuadraticField,
     RadialField,
     RadialProfile,
     Vec2,
+    compose,
     exp_example,
     fd_jet,
     field_from_dict,
@@ -243,3 +245,74 @@ def test_radial_serialization_round_trip():
     p = Vec2(1.0, 1.5)
     assert v.value(p) == pytest.approx(u.value(p), abs=1e-15)
     assert v.jet(p).grad.x2 == pytest.approx(u.jet(p).grad.x2, abs=1e-15)
+
+
+def _value_families() -> dict:
+    base = Bubble(1.4, 6.0, Vec2(0.2, -0.3))
+    mob = MobiusMap(1.1 + 0.1j, 0.1 - 0.2j, 0.05 + 0.1j, 1.0)
+    poly = PolynomialMap([0.0, 1.5 + 0.2j, 0.1 - 0.05j, 0.03j])
+    r = np.linspace(0.0, 3.0, 61)
+    return {
+        "bubble": Bubble(1.7, 5.2, Vec2(0.4, -0.3)),
+        "chen_li": ChenLiBubble(0.8, Vec2(-0.2, 0.3)),
+        "liouville_poly": LiouvilleField(poly),
+        "liouville_exp": exp_example(),
+        "pullback_mobius": pullback(base, mob),
+        "pullback_poly": pullback(base, poly),
+        "pullback_composed": pullback(base, compose(mob, poly)),
+        "constant": ConstantField(0.7),
+        "radial": RadialField(RadialProfile(r, np.cos(r), -np.sin(r), -np.cos(r)),
+                              center=Vec2(0.1, 0.2)),
+        # no array kernel of its own: exercises the base-class fallback
+        "quadratic": QuadraticField(-0.4),
+    }
+
+
+VALUE_FAMILIES = _value_families()
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FAMILIES))
+def test_values_match_scalar_value(name):
+    """Dual route: the array kernel against value() point by point."""
+    u = VALUE_FAMILIES[name]
+    rng = np.random.default_rng(11)
+    r, t = rng.uniform(0.2, 1.2, (5, 7)), rng.uniform(0.0, 2.0 * math.pi, (5, 7))
+    x1, x2 = r * np.cos(t), r * np.sin(t)
+    got = u.values(x1, x2)
+    assert got.shape == (5, 7)
+    want = np.array([[u.value(Vec2(a, b)) for a, b in zip(row1, row2)]
+                     for row1, row2 in zip(x1, x2)])
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+    # coordinates broadcast against each other
+    row = u.values(x1[0], 0.25)
+    assert row.shape == (7,)
+    assert row[3] == pytest.approx(u.value(Vec2(x1[0, 3], 0.25)), abs=1e-13)
+
+
+def test_values_raise_what_value_raises():
+    # pole of the Moebius map at z = 0.5, which the grid hits exactly
+    v = pullback(Bubble(1.0, 8.0), MobiusMap(1.0, 0.0, 1.0, -0.5))
+    x1 = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(PoleError):
+        v.value(Vec2(0.5, 0.0))
+    with pytest.raises(PoleError):
+        v.values(x1, np.zeros_like(x1))
+    assert np.isfinite(v.values(x1[:5], 0.0)).all()
+    # critical point of f at the origin
+    u = LiouvilleField(PolynomialMap([0.0, 0.0, 1.0]))
+    with pytest.raises(DomainError):
+        u.value(Vec2(0.0, 0.0))
+    with pytest.raises(DomainError):
+        u.values(x1 - 0.5, 0.0)
+    # e^z overflows
+    with pytest.raises(OverflowError):
+        exp_example().value(Vec2(800.0, 0.0))
+    with pytest.raises(OverflowError):
+        exp_example().values([0.0, 800.0], 0.0)
+    # non-finite coordinates, with and without an array kernel
+    for w in (Bubble(1.0, 8.0), QuadraticField(1.0), v):
+        with pytest.raises(ValueError):
+            w.value((math.nan, 0.0))
+    for w in (Bubble(1.0, 8.0), ConstantField(0.2), QuadraticField(1.0), v):
+        with pytest.raises(ValueError):
+            w.values([0.1, math.nan], 0.0)

@@ -8,8 +8,12 @@ import pytest
 
 from conformal2d import (
     Bubble,
+    ChenLiBubble,
     ConstantField,
     DomainError,
+    LiouvilleField,
+    MobiusMap,
+    PolynomialMap,
     ScalarField,
     Vec2,
     bubble_fit,
@@ -19,8 +23,10 @@ from conformal2d import (
     lambda_a,
     ms_transform,
     ms_value,
+    pullback,
     slack_stats,
 )
+from conformal2d.spheres import RHO_MIN_FACTOR, SLACK_TOL_SCALE
 
 B = Bubble(1.0, 8.0)  # critical radius at the center is sqrt(b/8) = 1
 
@@ -175,3 +181,72 @@ def test_estimate_alpha_on_bubbles():
     assert len(est.radii) == 16
     est2 = estimate_alpha(Bubble(0.5, 3.0), r_lo=20.0, r_hi=2e4)
     assert est2.alpha == pytest.approx(2.0 * math.log(0.5), abs=1e-4)
+
+
+def slack_reference(u, x, lam, n_radii, n_angles):
+    """slack_stats as a point-by-point loop over the same grid."""
+    radii = np.geomspace(RHO_MIN_FACTOR * lam, max(100.0, 10.0 * lam), n_radii)
+    thetas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    slacks, admissible = [], True
+    for rho in radii:
+        for t in thetas:
+            y = Vec2(x.x1 + rho * math.cos(t), x.x2 + rho * math.sin(t))
+            uy = u.value(y)
+            slack = uy - ms_value(u, x, lam, y)
+            slacks.append(slack)
+            if not slack >= -SLACK_TOL_SCALE * (1.0 + abs(uy)):
+                admissible = False
+    return min(slacks), max(abs(s) for s in slacks), admissible
+
+
+SLACK_CASES = {
+    # field, base point, lambda_bar (None: found by critical_lambda)
+    "bubble": (Bubble(1.3, 12.0, Vec2(0.2, -0.1)), Vec2(0.23, -0.08),
+               math.sqrt(0.03**2 + 0.02**2 + 1.5)),
+    "chen_li": (ChenLiBubble(0.6, Vec2(-0.1, 0.1)), Vec2(-0.1, 0.12),
+                math.sqrt(0.02**2 + 8.0 * 0.36)),
+    "pullback_mobius": (pullback(Bubble(1.0, 10.0), MobiusMap(1.05 + 0.1j, 0.1, 0.05j, 1.0)),
+                        Vec2(-0.1, 0.05), None),
+    "liouville_poly": (LiouvilleField(PolynomialMap([0.0, 1.5, 0.1 + 0.05j, 0.03])),
+                       Vec2(0.05, 0.02), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLACK_CASES))
+def test_batched_slack_matches_scalar_loop(name):
+    u, x, lam_bar = SLACK_CASES[name]
+    if lam_bar is None:
+        lam_bar = critical_lambda(u, x, lam_max=64.0).lambda_bar
+    for lam in (0.5 * lam_bar, lam_bar, 2.0 * lam_bar):
+        st = slack_stats(u, x, lam, n_radii=24, n_angles=32)
+        min_slack, max_abs, admissible = slack_reference(u, x, lam, 24, 32)
+        assert st.admissible == admissible
+        assert st.min_slack == pytest.approx(min_slack, abs=1e-12)
+        assert st.max_abs_slack == pytest.approx(max_abs, abs=1e-12)
+    # below the critical radius the sphere is admissible, above it is not
+    assert slack_stats(u, x, 0.5 * lam_bar).admissible
+    assert not slack_stats(u, x, 2.0 * lam_bar).admissible
+
+
+class FarNonFiniteField(ScalarField):
+    """Unit bubble near the origin, a non-finite constant for |x| > 5."""
+
+    def __init__(self, far: float):
+        self.far = far
+
+    def value(self, x) -> float:
+        p = Vec2.of(x)
+        return self.far if p.norm() > 5.0 else B.value(p)
+
+
+@pytest.mark.parametrize("far", [math.nan, math.inf, -math.inf])
+def test_non_finite_slack_fails_closed(far):
+    u = FarNonFiniteField(far)
+    st = slack_stats(u, Vec2(0.0, 0.0), 0.8, n_radii=12, n_angles=8)
+    assert not st.admissible
+    assert not math.isfinite(st.min_slack)
+    try:
+        rep = critical_lambda(u, Vec2(0.0, 0.0), lam_max=4.0, n_radii=12, n_angles=8)
+    except DomainError:
+        return
+    assert not rep.unbounded
