@@ -122,15 +122,18 @@ class FEvalResult(NamedTuple):
 class SymmetricFunction:
     """Symmetric, elliptic curvature function on a cone.
 
-    ``fn`` and ``grad_fn`` take the two eigenvalues directly.  Construction
-    runs a sampled sanity check: symmetry under swapping the arguments and
-    positivity of both gradient components at 100 cone points.
+    ``fn`` and ``grad_fn`` take the two eigenvalues directly.  The optional
+    ``lambda1(l2)`` is a closed-form solution of fn(lambda1, l2) = 1 for
+    the radial solver, which otherwise brackets the root numerically.
+    Construction runs a sampled sanity check: symmetry under swapping the
+    arguments and positivity of both gradient components at 100 cone points.
     """
 
     name: str
     fn: Callable[[float, float], float]
     grad_fn: Callable[[float, float], tuple[float, float]]
     cone: ConeIndex
+    lambda1: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
         rng = np.random.default_rng(1234)
@@ -172,13 +175,13 @@ def f_eval(f: SymmetricFunction, lams) -> FEvalResult:
 def sigma1(cone: ConeIndex | float = 2.0) -> SymmetricFunction:
     cone = cone if isinstance(cone, ConeIndex) else ConeIndex(cone)
     return SymmetricFunction("sigma1", lambda l1, l2: l1 + l2,
-                             lambda l1, l2: (1.0, 1.0), cone)
+                             lambda l1, l2: (1.0, 1.0), cone, lambda l2: 1.0 - l2)
 
 
 def sigma2(cone: ConeIndex | float = 2.0) -> SymmetricFunction:
     cone = cone if isinstance(cone, ConeIndex) else ConeIndex(cone)
     return SymmetricFunction("sigma2", lambda l1, l2: l1 * l2,
-                             lambda l1, l2: (l2, l1), cone)
+                             lambda l1, l2: (l2, l1), cone, lambda l2: 1.0 / l2)
 
 
 def weighted(t: float, cone: ConeIndex | float = 2.0) -> SymmetricFunction:
@@ -196,7 +199,15 @@ def weighted(t: float, cone: ConeIndex | float = 2.0) -> SymmetricFunction:
         root = math.sqrt(l1 * l2)
         return (t + (1.0 - t) * 0.5 * l2 / root, t + (1.0 - t) * 0.5 * l1 / root)
 
-    return SymmetricFunction(f"weighted:{t:g}", fn, grad_fn, cone)
+    def lambda1(l2: float) -> float:
+        # sqrt(lambda1) is the positive root of t s^2 + (1-t) sqrt(l2) s - c,
+        # written without cancellation so that t = 0 needs no special case
+        c = 1.0 - t * l2
+        b = (1.0 - t) * math.sqrt(l2)
+        s = 2.0 * c / (b + math.sqrt(b * b + 4.0 * t * c))
+        return s * s
+
+    return SymmetricFunction(f"weighted:{t:g}", fn, grad_fn, cone, lambda1)
 
 
 def resolve_symmetric_function(spec: str, cone: float | None = None) -> SymmetricFunction:

@@ -22,7 +22,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .errors import SeedError, StepFailure
 from .geometry import Vec2
-from .ops import ConeIndex, SymmetricFunction, cone_margin
+from .ops import VALUE_OVERFLOW, ConeIndex, SymmetricFunction, cone_margin
 from .report import CheckReport, worst_witnesses
 
 _FMT = "%.17g"
@@ -154,17 +154,43 @@ class EnvelopeResult:
         return self.profile.r[self.interior], self.profile.v[self.interior]
 
 
+def _envelope_argmin(r: list[float], v: list[float], eps: float) -> np.ndarray:
+    """Index of the lowest parabola v[j] + (x - r[j])^2 / eps at each x = r[i].
+
+    Felzenszwalb-Huttenlocher lower envelope on a non-uniform grid: a stack
+    of the parabolas that are lowest somewhere, each with the left end of
+    its interval, built in one sweep.  O(n) time and memory.
+    """
+    hull: list[int] = []
+    left: list[float] = []
+    for q, (rq, vq) in enumerate(zip(r, v)):
+        while hull:
+            j = hull[-1]
+            s = 0.5 * (r[j] + rq) + 0.5 * eps * (vq - v[j]) / (rq - r[j])
+            if s > left[-1]:
+                break
+            hull.pop()
+            left.pop()
+        else:
+            s = -math.inf  # parabola q is the lowest one to its left
+        hull.append(q)
+        left.append(s)
+    return np.asarray(hull)[np.searchsorted(left[1:], r, side="left")]
+
+
 def inf_envelope(p: RadialProfile, eps: float) -> EnvelopeResult:
-    """Brute-force O(n^2) inf-convolution of a radial profile.
+    """Inf-convolution of a radial profile in O(n) time and memory.
 
     The 2D envelope of a radial function reduces to one dimension because
-    min over the angle of |y - x|^2 is (rho - r)^2.
+    min over the angle of |y - x|^2 is (rho - r)^2.  Each node's value is
+    the cost of its lowest parabola, capped by its own value v (the k = i
+    candidate), so env <= v holds exactly.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     r, v = p.r, p.v
-    cost = v[None, :] + (r[:, None] - r[None, :]) ** 2 / eps
-    env = cost.min(axis=1)
+    k = _envelope_argmin(r.tolist(), v.tolist(), eps)
+    env = np.minimum(v[k] + (r - r[k]) ** 2 / eps, v)
 
     osc = float(v.max() - v.min())
     margin = math.sqrt(eps * osc)
@@ -178,7 +204,7 @@ def inf_envelope(p: RadialProfile, eps: float) -> EnvelopeResult:
     slope = np.diff(y) / np.diff(r)
     d2 = 2.0 * np.diff(slope) / (r[2:] - r[:-2])
     centers = interior[1:-1]
-    defect = float(max(0.0, d2[centers].max())) if centers.any() else 0.0
+    defect = float(np.maximum(0.0, d2[centers].max())) if centers.any() else 0.0
     sup_dist = float((v - env)[interior].max())
     return EnvelopeResult(RadialProfile(r, env), float(eps), defect, sup_dist, interior)
 
@@ -232,7 +258,7 @@ def check_monotone_4log(p: RadialProfile, k0: float = 0.0,
         raise ValueError("grid does not cover (k0, r_max)")
     w = v + 4.0 * np.log(r)
     drops = -np.diff(w)
-    worst = float(max(0.0, drops.max()))
+    worst = float(np.maximum(0.0, drops.max()))
     violating = np.nonzero(drops > slack)[0]
     empirical_k0 = float(r[violating[-1]]) if violating.size else 0.0
     labels = [f"r={r[i]:.6g}" for i in violating[-3:]]
@@ -323,10 +349,14 @@ def _solve_lambda1(f: SymmetricFunction, cone: ConeIndex, lam2: float,
                    r: float, cfg: SolveConfig) -> tuple[float, float]:
     """Solve f(lambda1, lam2) = 1 for lambda1 within the cone section.
 
-    Raises _ConeExitSignal when no in-cone root exists (section empty or f
-    already >= 1 on its lower edge) and StepFailure when the bracket cannot
-    be expanded to a sign change.
+    Uses f's closed form when it has one and brentq otherwise.  Raises
+    _ConeExitSignal when no in-cone root exists (section empty or f already
+    >= 1 on its lower edge) and StepFailure when the bracket cannot be
+    expanded to a sign change, lam2 is NaN or the root misses the residual
+    bound.
     """
+    if lam2 != lam2:
+        raise StepFailure(f"lambda2 is NaN at r = {r:.6g}")
     lo = _lambda1_section_min(lam2, cone)
     if lo is None:
         raise _ConeExitSignal(r)
@@ -334,19 +364,21 @@ def _solve_lambda1(f: SymmetricFunction, cone: ConeIndex, lam2: float,
     def fun(t: float) -> float:
         return f.raw(t, lam2) - 1.0
 
-    flo = fun(lo)
-    if flo >= 0.0:
+    if fun(lo) >= 0.0:
         raise _ConeExitSignal(r)
-    hi = max(lam2 + 2.0 * max(1.0, abs(lam2)), lo + 1.0)
-    tries = 0
-    while fun(hi) <= 0.0:
-        hi = lo + 2.0 * (hi - lo)
-        tries += 1
-        if tries > 200:
-            raise StepFailure(f"lambda1 bracket expansion failed at r = {r:.6g}")
-    lam1 = float(brentq(fun, lo, hi, xtol=1e-15))
+    if f.lambda1 is not None:
+        lam1 = f.lambda1(lam2)
+    else:
+        hi = max(lam2 + 2.0 * max(1.0, abs(lam2)), lo + 1.0)
+        tries = 0
+        while fun(hi) <= 0.0:
+            hi = lo + 2.0 * (hi - lo)
+            tries += 1
+            if tries > 200:
+                raise StepFailure(f"lambda1 bracket expansion failed at r = {r:.6g}")
+        lam1 = float(brentq(fun, lo, hi, xtol=1e-15))
     residual = abs(f.raw(lam1, lam2) - 1.0)
-    if residual > cfg.root_residual_max:
+    if not residual <= cfg.root_residual_max:
         raise StepFailure(f"lambda1 residual {residual:.3e} at r = {r:.6g}")
     return lam1, residual
 
@@ -366,38 +398,41 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _integrate_to_nodes(rhs, r0: float, y0: np.ndarray, nodes, cfg: SolveConfig,
-                        collect) -> None:
-    """Adaptive Dormand-Prince march hitting each node exactly.
+def _integrate_to_nodes(rhs, r0: float, v0: float, w0: float, nodes,
+                        cfg: SolveConfig, collect) -> None:
+    """Adaptive Dormand-Prince march of (v, w) hitting each node exactly.
 
-    ``collect(r, y)`` is called at every node; exceptions from ``rhs``
-    propagate so the caller can truncate.
+    ``rhs(r, v, w)`` returns (v', w') and ``collect(r, v, w)`` is called at
+    every node; exceptions from ``rhs`` propagate so the caller can truncate.
     """
-    r = r0
-    y = np.asarray(y0, dtype=float)
+    r, v, w = r0, v0, w0
     h = cfg.h_init
     for rt in nodes:
         while r < rt - 1e-14 * max(1.0, rt):
             h_try = min(h, cfg.h_max, rt - r)
             while True:
-                k = np.empty((7, y.size))
-                k[0] = rhs(r, y)
+                k = [rhs(r, v, w)]
                 for i in range(1, 7):
-                    yi = y + h_try * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-                    k[i] = rhs(r + _DP_C[i] * h_try, yi)
-                y5 = y + h_try * sum(b * k[i] for i, b in enumerate(_DP_B5))
-                y4 = y + h_try * sum(b * k[i] for i, b in enumerate(_DP_B4))
-                sc = cfg.atol + cfg.rtol * np.maximum(np.abs(y), np.abs(y5))
-                err = float(np.max(np.abs(y5 - y4) / sc))
+                    k.append(rhs(r + _DP_C[i] * h_try,
+                                 v + h_try * sum(a * kj[0] for a, kj in zip(_DP_A[i], k)),
+                                 w + h_try * sum(a * kj[1] for a, kj in zip(_DP_A[i], k))))
+                v5 = v + h_try * sum(b * ki[0] for b, ki in zip(_DP_B5, k))
+                w5 = w + h_try * sum(b * ki[1] for b, ki in zip(_DP_B5, k))
+                v4 = v + h_try * sum(b * ki[0] for b, ki in zip(_DP_B4, k))
+                w4 = w + h_try * sum(b * ki[1] for b, ki in zip(_DP_B4, k))
+                ev = abs(v5 - v4) / (cfg.atol + cfg.rtol * max(abs(v), abs(v5)))
+                ew = abs(w5 - w4) / (cfg.atol + cfg.rtol * max(abs(w), abs(w5)))
+                # a NaN in either component must reject the step
+                err = max(ev, ew) if ew == ew else ew
                 if err <= 1.0:
                     r += h_try
-                    y = y5
+                    v, w = v5, w5
                     h = h_try * min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
                     break
                 h_try *= max(0.2, 0.9 * err**-0.2)
                 if h_try < 1e-13:
                     raise StepFailure(f"step size underflow at r = {r:.6g}")
-        collect(rt, y)
+        collect(rt, v, w)
 
 
 def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0.0,
@@ -411,6 +446,8 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
     section.  Integration stops at the first node whose eigenvalues leave
     the open cone; that radius is reported as cone_exit.
     """
+    if not abs(v0) <= VALUE_OVERFLOW:
+        raise SeedError(f"|v0| = {abs(v0):g} exceeds {VALUE_OVERFLOW:g}")
     cfg = cfg or SolveConfig()
     cone = cone or f.cone
     mu = _diagonal_seed(f)
@@ -450,29 +487,21 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
 
     if ok and main_nodes.size:
 
-        def rhs(r: float, y: np.ndarray) -> np.ndarray:
-            v, w = float(y[0]), float(y[1])
-            if abs(v) > 700.0:
+        def rhs(r: float, v: float, w: float) -> tuple[float, float]:
+            if abs(v) > VALUE_OVERFLOW:
                 raise StepFailure(f"v overflow at r = {r:.6g}")
             lam2 = math.exp(-v) * (-w / r - 0.25 * w * w)
             lam1, _ = _solve_lambda1(f, cone, lam2, r, cfg)
-            return np.array([w, 0.25 * w * w - lam1 * math.exp(v)])
+            return w, 0.25 * w * w - lam1 * math.exp(v)
 
-        rs = cfg.r_series
-        y_start = np.array([v0 + 0.5 * c2 * rs * rs, c2 * rs])
-
-        stop = False
-
-        def collect(rt: float, y: np.ndarray) -> None:
-            nonlocal stop
-            if stop:
-                return
-            if not record(rt, float(y[0]), float(y[1])):
-                stop = True
+        def collect(rt: float, v: float, w: float) -> None:
+            if not record(rt, v, w):
                 raise _ConeExitSignal(rt)
 
+        rs = cfg.r_series
         try:
-            _integrate_to_nodes(rhs, rs, y_start, main_nodes, cfg, collect)
+            _integrate_to_nodes(rhs, rs, v0 + 0.5 * c2 * rs * rs, c2 * rs,
+                                main_nodes.tolist(), cfg, collect)
         except _ConeExitSignal as sig:
             if exit_radius is None:
                 exit_radius = sig.radius
@@ -510,22 +539,20 @@ def boundary_solve(cone: ConeIndex, r0: float, v0: float, w0: float,
     s = cone.p - 2.0
     cfg = cfg or SolveConfig()
 
-    def rhs(r: float, y: np.ndarray) -> np.ndarray:
+    def rhs(r: float, v: float, w: float) -> tuple[float, float]:
         # lambda1 e^v = (lambda2 / s) e^v loses its exponential exactly,
         # so the trajectory of (v, v') closes over (r, v') alone
-        w = float(y[1])
         if not math.isfinite(w) or abs(w) > 1e12:
             raise StepFailure(f"boundary trajectory blow-up near r = {r:.6g}")
-        return np.array([w, 0.25 * w * w - (-w / r - 0.25 * w * w) / s])
+        return w, 0.25 * w * w - (-w / r - 0.25 * w * w) / s
 
     nodes = np.linspace(r0, r_max, n_out)
-    rows: list[tuple[float, float, float]] = []
+    rows = [(r0, float(v0), float(w0))]
 
-    def collect(rt: float, y: np.ndarray) -> None:
-        rows.append((rt, float(y[0]), float(y[1])))
+    def collect(rt: float, v: float, w: float) -> None:
+        rows.append((rt, v, w))
 
-    collect(r0, np.array([v0, w0]))
-    _integrate_to_nodes(rhs, r0, np.array([v0, w0]), nodes[1:], cfg, collect)
+    _integrate_to_nodes(rhs, r0, float(v0), float(w0), nodes[1:].tolist(), cfg, collect)
     data = np.array(rows)
     # eigenvalues directly from the boundary relation
     lam2 = np.exp(-data[:, 1]) * (-data[:, 2] / data[:, 0] - 0.25 * data[:, 2] ** 2)

@@ -24,7 +24,8 @@ class CheckReport:
     def from_errors(cls, name: str, errors, tolerance: float,
                     witnesses=(), extras=None) -> "CheckReport":
         errs = [float(e) for e in errors]
-        worst = max(errs) if errs else 0.0
+        # a NaN anywhere fails the check; max() alone drops one not in front
+        worst = float("nan") if any(e != e for e in errs) else max(errs, default=0.0)
         return cls(
             name=name,
             points_tested=len(errs),

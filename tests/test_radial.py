@@ -1,6 +1,7 @@
 """Radial reductions: circle minima, lower envelopes, monotonicity of
 v + 4 ln r, the shooting solver, and boundary-ray trajectories."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from conformal2d import (
     ConeIndex,
     RadialLambda,
     RadialProfile,
+    SeedError,
     SolveConfig,
     StepFailure,
     Vec2,
@@ -170,6 +172,43 @@ def test_envelope_rejects_bad_eps():
         inf_envelope(p, 0.0)
 
 
+def brute_force_envelope(r, v, eps):
+    """O(n^2) oracle: the cheapest parabola over every node, at every node."""
+    return (v[None, :] + (r[:, None] - r[None, :]) ** 2 / eps).min(axis=1)
+
+
+def test_envelope_matches_brute_force_oracle():
+    # the linear-time envelope evaluates the oracle's own formula at the
+    # oracle's argmin, so the two agree bit for bit (exact ties between
+    # parabolas, as with quantised values on a uniform grid, may pick
+    # another minimiser and differ in the last place)
+    rng = np.random.default_rng(2012)
+    for i in range(300):
+        n = int(rng.integers(2, 400))
+        r = rng.uniform(0.0, 2.0) + np.cumsum(rng.exponential(1.0, n) ** 2 + 1e-9)
+        r *= rng.uniform(0.01, 3.0)
+        shape = i % 3
+        if shape == 0:
+            v = rng.normal(0.0, 1.0, n)
+        elif shape == 1:
+            v = rng.uniform(0.1, 10.0) * np.sin(rng.uniform(0.1, 5.0) * r)
+        else:
+            v = np.abs(r - r.mean()) + rng.normal(0.0, 1e-3, n)
+        eps = float(10.0 ** rng.uniform(-4.0, 2.0))
+        env = inf_envelope(RadialProfile(r, v), eps).profile.v
+        assert np.array_equal(env, brute_force_envelope(r, v, eps)), (i, n, eps)
+
+
+def test_envelope_defect_is_nan_when_it_overflows():
+    # r^2 / eps overflows, so the second differences are NaN; the defect
+    # must carry the NaN instead of reading 0
+    r = np.linspace(0.0, 0.2, 5)
+    v = np.array([1e308, -1e308, 1e308, -1e308, 1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = inf_envelope(RadialProfile(r, v), 1e-310)
+    assert math.isnan(res.semiconcavity_defect)
+
+
 def test_envelope_interior_fallback_on_short_grids():
     r = np.linspace(0.0, 0.2, 5)
     res = inf_envelope(RadialProfile(r, r * r), 1.0)
@@ -219,6 +258,15 @@ def test_monotone_empirical_k0_detects_dip():
     assert rep1.passed
     with pytest.raises(ValueError):
         check_monotone_4log(p, k0=10.0)
+
+
+def test_monotone_reports_overflowing_drops():
+    r = np.linspace(0.5, 2.5, 5)
+    v = np.array([1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.7e308])
+    with np.errstate(over="ignore"):
+        rep = check_monotone_4log(RadialProfile(r, v))
+    assert rep.max_error == math.inf
+    assert not rep.passed
 
 
 # -- shooting solver -----------------------------------------------------------
@@ -297,6 +345,43 @@ def test_solve_lambda1_signals_exit():
     # empty section at negative lambda2 on Gamma_2
     with pytest.raises(_ConeExitSignal):
         _solve_lambda1(sigma2(), ConeIndex(2.0), -0.5, 1.0, cfg)
+
+
+@pytest.mark.parametrize("v0", [800.0, -701.0, math.inf, math.nan])
+def test_ode_solve_rejects_overflowing_center_value(v0):
+    with pytest.raises(SeedError, match="v0"):
+        ode_solve(sigma2(), v0=v0)
+
+
+LAM2_GRID = (-2.0, -0.5, -1e-3, 0.0, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.99, 1.0,
+             1.2, 2.0, 2.4, 3.0, 20.0, math.nan)
+
+
+def lambda1_outcome(f, lam2):
+    try:
+        return _solve_lambda1(f, f.cone, lam2, 1.0, SolveConfig())[0]
+    except (_ConeExitSignal, StepFailure) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("f", [sigma1(2.0), sigma1(1.8), sigma1(1.5), sigma2(),
+                               weighted(0.0), weighted(0.4), weighted(1.0)],
+                         ids=lambda f: f"{f.name}-p{f.cone.p:g}")
+def test_closed_form_lambda1_matches_brentq(f):
+    assert f.lambda1 is not None
+    bracketed = dataclasses.replace(f, lambda1=None)
+    exits = 0
+    for lam2 in LAM2_GRID:
+        want = lambda1_outcome(bracketed, lam2)
+        got = lambda1_outcome(f, lam2)
+        if isinstance(want, type):
+            assert got is want, lam2
+            exits += 1
+        else:
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), lam2
+    # the grid reaches both sides of the cone exit; NaN is a StepFailure
+    assert 1 < exits < len(LAM2_GRID)
+    assert lambda1_outcome(f, math.nan) is StepFailure
 
 
 def test_solve_lambda1_interior_root():
