@@ -180,7 +180,10 @@ def cmd_verify(args) -> int:
 
 def cmd_envelope(args) -> int:
     if args.profile:
-        prof = RadialProfile.from_csv(args.profile)
+        try:
+            prof = RadialProfile.from_csv(args.profile)
+        except ValueError as e:
+            raise ConfigError(f"bad profile {args.profile}: {e}")
         source = {"profile": args.profile}
     else:
         r0, r1, n = _parse_grid(args.grid)

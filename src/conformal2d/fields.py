@@ -12,7 +12,6 @@ u_xy = -2 Im u_zz.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, PoleError, ConjugatingUnsupported
 from .geometry import Vec2, Sym2, finite_coords
-from .mobius import AnalyticMap, MobiusMap, ExpMap, map_from_dict, map_to_dict
+from .mobius import AnalyticMap, ExpMap, map_from_dict, map_to_dict
 from .radial import RadialProfile
 
 LIOUVILLE_GUARD = 1e-6
@@ -65,7 +64,11 @@ class Jet2:
 
 
 class ScalarField:
-    """Base class: a scalar field with an exact jet evaluator."""
+    """Base class: a scalar field with an exact jet evaluator.
+
+    Each family has one scalar evaluator, jet(), with value() its value
+    channel, and one batch evaluator, values().
+    """
 
     def jet(self, x) -> Jet2:
         raise NotImplementedError
@@ -77,7 +80,7 @@ class ScalarField:
         """Values on coordinate arrays of any (broadcast) shape.
 
         Agrees with value() point by point.  This fallback loops value();
-        closed-form families override it with an array kernel that raises
+        every built-in family overrides it with an array kernel that raises
         what value() raises when any sample does.
         """
         x1, x2 = finite_coords(x1, x2)
@@ -101,9 +104,6 @@ class ConstantField(ScalarField):
         Vec2.of(x)
         return Jet2(self.c, Vec2(0.0, 0.0), Sym2(0.0, 0.0, 0.0))
 
-    def value(self, x) -> float:
-        return self.c
-
     def values(self, x1, x2) -> np.ndarray:
         return np.full(finite_coords(x1, x2)[0].shape, float(self.c))
 
@@ -121,6 +121,10 @@ class QuadraticField(ScalarField):
             Vec2(2.0 * self.a * p.x1, 0.0),
             Sym2(2.0 * self.a, 0.0, 0.0),
         )
+
+    def values(self, x1, x2) -> np.ndarray:
+        x1 = finite_coords(x1, x2)[0]
+        return self.a * x1 * x1
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,6 @@ class Bubble(ScalarField):
             -32.0 / s + c * dx.x2 * dx.x2,
         )
         return Jet2(value, g, hess)
-
-    def value(self, x) -> float:
-        dx = Vec2.of(x) - self.x0
-        s = 8.0 * (dx.x1 * dx.x1 + dx.x2 * dx.x2) + self.b
-        return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(s)
 
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
@@ -198,11 +197,6 @@ class ChenLiBubble(ScalarField):
             -4.0 / t + c * dx.x2 * dx.x2,
         )
         return Jet2(value, g, hess)
-
-    def value(self, x) -> float:
-        dx = Vec2.of(x) - self.x0
-        t = dx.x1 * dx.x1 + dx.x2 * dx.x2 + 8.0 * self.a * self.a
-        return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(t)
 
     def values(self, x1, x2) -> np.ndarray:
         return self.as_bubble().values(x1, x2)
@@ -248,27 +242,18 @@ class LiouvilleField(ScalarField):
         u_zzbar = -2.0 * (d1 * d1.conjugate()).real / (m * m)
         return Jet2.from_wirtinger(value, u_z, u_zz, u_zzbar)
 
-    def value(self, x) -> float:
-        z = Vec2.of(x).to_complex()
-        try:
-            fj = self.f.jet(z)
-        except PoleError as exc:
-            raise DomainError(str(exc)) from exc
-        if abs(fj.d1) < LIOUVILLE_GUARD:
-            raise DomainError("within guard radius of a critical point of f")
-        m = 1.0 + abs(fj.value) ** 2
-        return math.log(8.0) + 2.0 * math.log(abs(fj.d1)) - 2.0 * math.log(m)
-
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
         try:
             w, d1 = self.f.values_d1(x1 + 1j * x2)
         except PoleError as exc:
             raise DomainError(str(exc)) from exc
-        if (np.abs(d1) < LIOUVILLE_GUARD).any():
+        # np.hypot rounds like abs(complex); np.abs of a complex array need not
+        ad1 = np.hypot(d1.real, d1.imag)
+        if (ad1 < LIOUVILLE_GUARD).any():
             raise DomainError("within guard radius of a critical point of f")
-        m = 1.0 + np.abs(w) ** 2
-        return math.log(8.0) + 2.0 * np.log(np.abs(d1)) - 2.0 * np.log(m)
+        m = 1.0 + np.hypot(w.real, w.imag) ** 2
+        return math.log(8.0) + 2.0 * np.log(ad1) - 2.0 * np.log(m)
 
     def schwarzian(self, x) -> complex:
         """S(f) = f'''/f' - (3/2)(f''/f')^2; controls the traceless part."""
@@ -351,11 +336,13 @@ class RadialField(ScalarField):
         )
         return Jet2(v, Vec2(dv * cx, dv * cy), hess)
 
-    def value(self, x) -> float:
-        r = (Vec2.of(x) - self.center).norm()
-        if self.excluded(x):
-            raise DomainError(f"radius {r:.6g} outside profile range")
-        return float(self._sv(r))
+    def values(self, x1, x2) -> np.ndarray:
+        x1, x2 = finite_coords(x1, x2)
+        r = np.hypot(x1 - self.center.x1, x2 - self.center.x2)
+        bad = (r < self.r_min - 1e-12) | (r > self.r_max + 1e-12)
+        if bad.any():
+            raise DomainError(f"radius {r[bad].flat[0]:.6g} outside profile range")
+        return self._sv(r)
 
 
 @dataclass(frozen=True)
@@ -404,13 +391,6 @@ class PullbackField(ScalarField):
         value = bj.value + 2.0 * math.log(abs(mj.d1))
         return Jet2.from_wirtinger(value, v_z, v_zz, v_zzbar)
 
-    def value(self, x) -> float:
-        z = Vec2.of(x).to_complex()
-        mj = self.map.jet(z)
-        if abs(mj.d1) < 1e-300:
-            raise DomainError("vanishing derivative in pullback")
-        return self.base.value(Vec2.from_complex(mj.value)) + 2.0 * math.log(abs(mj.d1))
-
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
         w, d1 = self.map.values_d1(x1 + 1j * x2)
@@ -428,42 +408,40 @@ def pullback(u: ScalarField, psi: AnalyticMap) -> PullbackField:
 def fd_jet(u: ScalarField, x, h: float | None = None, richardson: bool = False) -> Jet2:
     """Second-order central-difference jet of the value channel.
 
-    Used as the independent oracle for analytic jets.  With richardson=True
-    the h and h/2 stencils are combined, lifting accuracy to fourth order.
-    The stencil spans a disc of radius 2h around x and raises DomainError
-    where the field does.
+    Used as the independent oracle for analytic jets: each stencil is one
+    u.values call, so no jet code runs.  With richardson=True the h and h/2
+    stencils are combined, lifting accuracy to fourth order.  The stencil
+    spans a disc of radius 2h around x and raises DomainError where the
+    field does.
     """
     p = Vec2.of(x)
     if h is None:
         h = 1e-4 * (1.0 + p.norm())
+    # centre, E, W, N, S, NE, SE, NW, SW in units of the step
+    o1 = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
+    o2 = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
-    def stencil(step: float) -> tuple[Vec2, Sym2]:
-        def f(dx: float, dy: float) -> float:
-            return u.value(Vec2(p.x1 + dx, p.x2 + dy))
-
-        f00 = f(0.0, 0.0)
-        fe, fw = f(step, 0.0), f(-step, 0.0)
-        fn, fs = f(0.0, step), f(0.0, -step)
+    def stencil(step: float) -> tuple[float, Vec2, Sym2]:
+        f00, fe, fw, fn, fs, fne, fse, fnw, fsw = u.values(
+            p.x1 + step * o1, p.x2 + step * o2).tolist()
         gx = (fe - fw) / (2.0 * step)
         gy = (fn - fs) / (2.0 * step)
         hxx = (fe - 2.0 * f00 + fw) / (step * step)
         hyy = (fn - 2.0 * f00 + fs) / (step * step)
-        hxy = (f(step, step) - f(step, -step) - f(-step, step) + f(-step, -step)) / (
-            4.0 * step * step
-        )
-        return Vec2(gx, gy), Sym2(hxx, hxy, hyy)
+        hxy = (fne - fse - fnw + fsw) / (4.0 * step * step)
+        return f00, Vec2(gx, gy), Sym2(hxx, hxy, hyy)
 
-    g1, h1 = stencil(h)
+    f00, g1, h1 = stencil(h)
     if not richardson:
-        return Jet2(u.value(p), g1, h1)
-    g2, h2 = stencil(0.5 * h)
+        return Jet2(f00, g1, h1)
+    _, g2, h2 = stencil(0.5 * h)
     grad = Vec2((4.0 * g2.x1 - g1.x1) / 3.0, (4.0 * g2.x2 - g1.x2) / 3.0)
     hess = Sym2(
         (4.0 * h2.a11 - h1.a11) / 3.0,
         (4.0 * h2.a12 - h1.a12) / 3.0,
         (4.0 * h2.a22 - h1.a22) / 3.0,
     )
-    return Jet2(u.value(p), grad, hess)
+    return Jet2(f00, grad, hess)
 
 
 # -- serialization -----------------------------------------------------------

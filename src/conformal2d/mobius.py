@@ -342,9 +342,6 @@ class ExpMap(AnalyticMap):
         return w, w
 
 
-MAP_KINDS = {"mobius", "polynomial", "exp"}
-
-
 def map_from_dict(payload: dict) -> AnalyticMap:
     kind = payload.get("kind")
     if kind == "mobius":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .errors import SeedError, StepFailure
 from .geometry import Vec2
@@ -96,10 +96,11 @@ class RadialProfile:
     def from_csv(cls, path) -> "RadialProfile":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
+        header, body = (rows or [[]])[0], rows[1:]
         if header[:2] != ["r", "v"]:
             raise ValueError(f"unexpected profile header {header!r}")
         data = np.array([[float(x) for x in row] for row in body])
+        data = data.reshape(len(body), len(header))  # fails on a row of the wrong length
         kwargs = {}
         for j, name in enumerate(header):
             if name in ("dv", "ddv"):
@@ -110,28 +111,32 @@ class RadialProfile:
 def minimize_on_circles(u, center, radii, m: int = 64) -> RadialProfile:
     """v(r) = inf over the circle of radius r about center of u.
 
-    Coarse pass over m equispaced angles, then one bounded 1D refinement
-    around the best angle per circle.
+    All circles are sampled together through u.values: a coarse pass over
+    m equispaced angles, then rounds of m angles spanning one spacing on
+    either side of each circle's best angle so far, until the spacing is
+    below 1e-12.  The minimum over all rounds is kept.
     """
+    if m < 4:
+        raise ValueError("need at least 4 angles per circle")
     c = Vec2.of(center)
-    thetas = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-    cos_t, sin_t = np.cos(thetas), np.sin(thetas)
-    out = []
-    for r in np.asarray(radii, dtype=float):
-        if r == 0.0:
-            out.append(u.value(c))
-            continue
-
-        def on_circle(theta: float, rr: float = r) -> float:
-            return u.value(Vec2(c.x1 + rr * math.cos(theta), c.x2 + rr * math.sin(theta)))
-
-        vals = u.values(c.x1 + r * cos_t, c.x2 + r * sin_t)
-        j = int(np.argmin(vals))
-        width = 2.0 * math.pi / m
-        res = minimize_scalar(on_circle, bounds=(thetas[j] - width, thetas[j] + width),
-                              method="bounded", options={"xatol": 1e-12})
-        out.append(min(vals[j], float(res.fun)))
-    return RadialProfile(np.asarray(radii, dtype=float), np.array(out))
+    r = np.asarray(radii, dtype=float)
+    rr = r[:, None]
+    thetas = np.tile(np.linspace(0.0, 2.0 * math.pi, m, endpoint=False), (r.size, 1))
+    offsets = np.linspace(-1.0, 1.0, m)
+    best_v = np.full(r.size, np.inf)
+    best_t = np.zeros(r.size)
+    spacing = 2.0 * math.pi / m
+    rows = np.arange(r.size)
+    while True:
+        vals = u.values(c.x1 + rr * np.cos(thetas), c.x2 + rr * np.sin(thetas))
+        j = np.argmin(vals, axis=1)
+        v = vals[rows, j]
+        best_t = np.where(v < best_v, thetas[rows, j], best_t)
+        best_v = np.minimum(best_v, v)  # a NaN sample stays NaN
+        if spacing < 1e-12:
+            return RadialProfile(r, best_v)
+        thetas = best_t[:, None] + spacing * offsets
+        spacing *= 2.0 / (m - 1)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,11 @@ class BubbleFit:
         }
 
 
+def _coords(samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    pts = [Vec2.of(s) for s in samples]
+    return np.array([p.x1 for p in pts]), np.array([p.x2 for p in pts])
+
+
 def bubble_fit(u: ScalarField, samples: Sequence, validation: Sequence | None = None,
                threshold: float = 1e-6) -> BubbleFit:
     """Fit u(x) = 2 ln(8a) - 2 ln(8|x - c|^2 + b) over (ln a, ln b, c).
@@ -194,12 +199,10 @@ def bubble_fit(u: ScalarField, samples: Sequence, validation: Sequence | None = 
     Levenberg-Marquardt driver supplies the damping.  The residual is the
     sup-norm over the validation set (the fit samples by default).
     """
-    pts = [Vec2.of(s) for s in samples]
-    if len(pts) < 4:
+    px, py = _coords(samples)
+    if px.size < 4:
         raise ValueError("need at least 4 samples")
-    vals = np.array([u.value(p) for p in pts])
-    px = np.array([p.x1 for p in pts])
-    py = np.array([p.x2 for p in pts])
+    vals = u.values(px, py)
 
     jmax = int(np.argmax(vals))
     theta0 = np.array([0.5 * vals[jmax], math.log(8.0), px[jmax], py[jmax]])
@@ -218,11 +221,11 @@ def bubble_fit(u: ScalarField, samples: Sequence, validation: Sequence | None = 
     center = Vec2(float(sol.x[2]), float(sol.x[3]))
 
     fit = Bubble(a, b, center)
-    check_pts = [Vec2.of(s) for s in validation] if validation is not None else pts
-    residual = max(abs(u.value(p) - fit.value(p)) for p in check_pts)
+    qx, qy = (px, py) if validation is None else _coords(validation)
+    residual = float(np.abs(u.values(qx, qy) - fit.values(qx, qy)).max())
     if residual > 1e3 * max(initial_sup, 1e-12):
         raise FitDiverged(f"fit residual {residual:.3e} vs initial {initial_sup:.3e}")
-    return BubbleFit(a, b, center, float(residual), residual <= threshold)
+    return BubbleFit(a, b, center, residual, residual <= threshold)
 
 
 class AlphaEstimate(NamedTuple):

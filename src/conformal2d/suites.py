@@ -68,8 +68,10 @@ def _binary_report(name: str, ok: bool, extras: Optional[dict] = None,
 
 def _shortfall_report(name: str, observed: float, at_least: float,
                       extras: Optional[dict] = None) -> CheckReport:
-    """Check that a quantity is LARGE: error is the shortfall below at_least."""
-    shortfall = max(0.0, at_least - observed)
+    """Check that a quantity is LARGE: error is the shortfall below at_least.
+
+    A NaN observation gives a NaN shortfall, which fails."""
+    shortfall = float(np.maximum(0.0, at_least - observed))
     ex = {"observed": float(observed), "required_at_least": float(at_least)}
     ex.update(extras or {})
     return CheckReport(
@@ -281,11 +283,8 @@ def mass_suite(seed: Optional[int] = None,
         radius = 60.0
         r = 0.5 * radius * (nodes + 1.0)
         wr = 0.5 * radius * weights
-        ring = np.empty_like(r)
-        for i, ri in enumerate(r):
-            vals = [math.exp(u.value(Vec2(ri * math.cos(t), ri * math.sin(t))))
-                    for t in thetas]
-            ring[i] = math.fsum(vals) * (2.0 * math.pi / len(thetas))
+        dens = np.exp(u.values(np.outer(r, np.cos(thetas)), np.outer(r, np.sin(thetas))))
+        ring = np.array([math.fsum(row) for row in dens]) * (2.0 * math.pi / len(thetas))
         disk = float(np.sum(wr * r * ring))
         a2 = 8.0 * u.a * u.a
         disk_closed = total_target - 8.0 * math.pi * a2 / (a2 + radius * radius)
@@ -390,7 +389,7 @@ def monotone_suite(seed: Optional[int] = None,
     k0s = []
     for a, b in ((1.0, 8.0), (0.7, 3.0), (2.0, 20.0)):
         u = Bubble(a, b)
-        prof = RadialProfile(grid, np.array([u.value(Vec2(r, 0.0)) for r in grid]))
+        prof = RadialProfile(grid, u.values(grid, 0.0))
         rep = check_monotone_4log(prof, k0=0.0, slack=tol)
         bubble_errs.append(rep.max_error)
         k0s.append(rep.extras["empirical_k0"])
@@ -429,8 +428,7 @@ def envelope_suite(seed: Optional[int] = None,
         ("quadratic", RadialProfile(grid, grid ** 2)),
         ("kink", RadialProfile(grid, np.abs(grid - 2.0))),
         ("sine", RadialProfile(grid, np.sin(1.3 * grid))),
-        ("bubble", RadialProfile(grid, np.array([bubble.value(Vec2(r, 0.0))
-                                                 for r in grid]))),
+        ("bubble", RadialProfile(grid, bubble.values(grid, 0.0))),
         ("neg4log", RadialProfile(np.linspace(0.5, 6.5, 1201),
                                   -4.0 * np.log(np.linspace(0.5, 6.5, 1201)))),
     ]
@@ -453,7 +451,7 @@ def envelope_suite(seed: Optional[int] = None,
             defect.append((f"{name}/eps={res.epsilon}", res.semiconcavity_defect))
             bound = lip * lip * res.epsilon
             dist.append((f"{name}/eps={res.epsilon}",
-                         max(0.0, res.sup_distance_to_input - bound)))
+                         float(np.maximum(0.0, res.sup_distance_to_input - bound))))
     out.append(CheckReport.from_errors(
         "envelope-below-input", [e for _, e in below], 0.0,
         witnesses=worst_witnesses(below)))

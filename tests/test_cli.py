@@ -105,6 +105,17 @@ def test_envelope_rejects_bad_eps(capsys):
     assert main(["envelope", "--eps", "-1"]) == 2
 
 
+@pytest.mark.parametrize("text", ["r,x\n0,1\n1,2\n", "", "r,v\n0,1\n1,two\n",
+                                  "r,v\n0,1\n1\n", "r,v\n"],
+                         ids=["header", "empty", "non-numeric", "short-row", "no-rows"])
+def test_envelope_malformed_profile_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["envelope", "--profile", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_envelope_large_grid_memory_is_linear(capsys):
     # an n x n cost matrix would take 8 n^2 bytes, 3.2 GB at n = 20000
     tracemalloc.start()

@@ -1,12 +1,15 @@
 """Field families: closed-form jets vs symbolic and finite-difference oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
 from scipy.integrate import quad
 
+import conformal2d.fields as fields
 from conformal2d import (
     Bubble,
     ChenLiBubble,
@@ -18,9 +21,11 @@ from conformal2d import (
     MobiusMap,
     PoleError,
     PolynomialMap,
+    PullbackField,
     QuadraticField,
     RadialField,
     RadialProfile,
+    ScalarField,
     Vec2,
     compose,
     exp_example,
@@ -263,7 +268,6 @@ def _value_families() -> dict:
         "constant": ConstantField(0.7),
         "radial": RadialField(RadialProfile(r, np.cos(r), -np.sin(r), -np.cos(r)),
                               center=Vec2(0.1, 0.2)),
-        # no array kernel of its own: exercises the base-class fallback
         "quadratic": QuadraticField(-0.4),
     }
 
@@ -316,3 +320,67 @@ def test_values_raise_what_value_raises():
     for w in (Bubble(1.0, 8.0), ConstantField(0.2), QuadraticField(1.0), v):
         with pytest.raises(ValueError):
             w.values([0.1, math.nan], 0.0)
+
+
+class JetOnly(ScalarField):
+    """A field that defines jet() alone: exercises the values() fallback."""
+
+    def jet(self, x):
+        return QuadraticField(-0.4).jet(x)
+
+
+def test_values_fallback_loops_value():
+    x1 = np.linspace(-1.0, 1.0, 7)
+    got = JetOnly().values(x1, 0.3)
+    assert np.array_equal(got, [JetOnly().value(Vec2(a, 0.3)) for a in x1])
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_FAMILIES))
+def test_fd_jet_never_runs_jet_code(name, monkeypatch):
+    """The oracle reads values() alone, so it stays independent of jet()."""
+    u = VALUE_FAMILIES[name]
+    p = Vec2(0.45, -0.35)
+    exact = u.jet(p)
+
+    def boom(self, x):
+        raise AssertionError("jet called")
+
+    for cls in (ScalarField, ConstantField, QuadraticField, Bubble, ChenLiBubble,
+                LiouvilleField, RadialField, PullbackField):
+        monkeypatch.setattr(cls, "jet", boom)
+    fd = fd_jet(u, p, richardson=True)
+    # the radial jet reads its dv/ddv spline columns, fd the value spline
+    scale = 1e3 if name == "radial" else 1.0
+    assert fd.value == pytest.approx(exact.value, abs=1e-13)
+    assert fd.grad.as_array() == pytest.approx(exact.grad.as_array(), abs=1e-7 * scale)
+    assert fd.hess.as_array() == pytest.approx(exact.hess.as_array(), abs=1e-5 * scale)
+
+
+def test_radial_values_raise_what_value_raises():
+    r = np.linspace(0.5, 2.0, 31)
+    u = RadialField(RadialProfile(r, np.cos(r)), center=Vec2(0.1, 0.2))
+    inside = Vec2(1.1, 0.2)
+    for p in (Vec2(0.1, 0.2), Vec2(0.35, 0.2), Vec2(2.2, 0.2)):
+        assert u.excluded(p)
+        with pytest.raises(DomainError):
+            u.value(p)
+        with pytest.raises(DomainError):
+            u.values([inside.x1, p.x1], [inside.x2, p.x2])
+    # radii within 1e-12 of the profile ends are inside
+    edge = Vec2(2.1 + 5e-13, 0.2)
+    assert not u.excluded(edge)
+    got = u.values([inside.x1, edge.x1], [inside.x2, edge.x2])
+    assert got == pytest.approx([u.value(inside), u.value(edge)], abs=1e-15)
+    with pytest.raises(ValueError):
+        u.value((math.nan, 0.2))
+    with pytest.raises(ValueError):
+        u.values([1.0, math.nan], 0.2)
+
+
+def test_scalar_field_is_the_only_value_definition():
+    """value() is jet().value in one place; no family keeps a second copy."""
+    tree = ast.parse(Path(fields.__file__).read_text())
+    owners = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              and any(isinstance(f, ast.FunctionDef) and f.name == "value"
+                      for f in node.body)]
+    assert owners == ["ScalarField"]

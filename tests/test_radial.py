@@ -13,6 +13,7 @@ from conformal2d import (
     ConeIndex,
     RadialLambda,
     RadialProfile,
+    ScalarField,
     SeedError,
     SolveConfig,
     StepFailure,
@@ -117,6 +118,27 @@ def test_minimize_on_circles_off_center_bubble():
     p = minimize_on_circles(u, (0.0, 0.0), [1.0, 2.0])
     assert p.v[0] == pytest.approx(u.value(Vec2(-1.0, 0.0)), abs=1e-12)
     assert p.v[1] == pytest.approx(u.value(Vec2(-2.0, 0.0)), abs=1e-12)
+
+
+def test_minimize_on_circles_reads_values_only(monkeypatch):
+    # the circle about the origin of radius r meets the bubble's lowest
+    # point at distance r + |x0| from x0, the point at r = 0 included
+    u = Bubble(1.0, 8.0, Vec2(0.5, -0.3))
+    radii = np.array([0.0, 0.2, 0.5, 1.0, 2.0, 7.5])
+    t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    coarse = np.array([u.values(r * np.cos(t), r * np.sin(t)).min() for r in radii])
+    want = np.array([u.radial_value(r + math.hypot(0.5, 0.3)) for r in radii])
+
+    def boom(self, x):
+        raise AssertionError("scalar evaluator called")
+
+    monkeypatch.setattr(Bubble, "jet", boom)
+    monkeypatch.setattr(ScalarField, "value", boom)
+    p = minimize_on_circles(u, (0.0, 0.0), radii)
+    assert np.abs(p.v - want).max() <= 1e-12
+    assert np.all(p.v <= coarse)
+    with pytest.raises(ValueError):
+        minimize_on_circles(u, (0.0, 0.0), radii, m=3)
 
 
 # -- lower envelope -----------------------------------------------------------

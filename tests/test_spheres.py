@@ -173,6 +173,22 @@ def test_bubble_fit_validation_set_and_min_samples():
         bubble_fit(u, [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)])
 
 
+class NanOutside(ScalarField):
+    """Unit bubble for |x| <= 2.5, NaN beyond."""
+
+    def value(self, x) -> float:
+        p = Vec2.of(x)
+        return math.nan if p.norm() > 2.5 else B.value(p)
+
+
+def test_bubble_fit_nan_validation_is_not_a_bubble():
+    # the NaN samples come after finite ones, where a Python max() drops them
+    fit = bubble_fit(NanOutside(), ring((0.0, 0.0), (0.5, 1.0, 2.0)),
+                     validation=ring((0.0, 0.0), (1.0, 3.0)))
+    assert math.isnan(fit.residual)
+    assert not fit.is_bubble
+
+
 def test_estimate_alpha_on_bubbles():
     # inf over circles of u + 4 ln r tends to 2 ln a for this family
     est = estimate_alpha(Bubble(2.0, 8.0))

@@ -1,8 +1,12 @@
 """Registry-level behavior of the named verification suites."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+import conformal2d.suites as suites
 from conformal2d import SUITES, Vec2, run_suites, standard_fields
 
 
@@ -49,3 +53,23 @@ def test_seed_changes_sampled_suites_deterministically():
     # a different seed draws different points; the errors move at roundoff
     # scale but the checks still pass
     assert all(r.passed for r in c)
+
+
+def test_shortfall_report_fails_on_nan():
+    rep = suites._shortfall_report("x", math.nan, 0.5)
+    assert not rep.passed
+    assert math.isnan(rep.max_error)
+    assert suites._shortfall_report("x", 0.7, 0.5).passed
+
+
+def test_envelope_distance_bound_fails_on_nan(monkeypatch):
+    real = suites.inf_envelope
+
+    def nan_distance(prof, eps):
+        return dataclasses.replace(real(prof, eps), sup_distance_to_input=math.nan)
+
+    monkeypatch.setattr(suites, "inf_envelope", nan_distance)
+    rows = {r.name: r for r in suites.envelope_suite()}
+    row = rows["envelope-distance-bound"]
+    assert not row.passed
+    assert math.isnan(row.max_error)
