@@ -75,13 +75,37 @@ def _payload(command: str, config: dict, checks: list[CheckReport],
     return body
 
 
+def _spell_nonfinite(obj):
+    """obj with non-finite floats spelled "NaN", "Infinity", "-Infinity"."""
+    if isinstance(obj, dict):
+        return {k: _spell_nonfinite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_spell_nonfinite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(float(obj))]
+    return obj
+
+
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default)
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2,
+                          default=_json_default, allow_nan=False)
+    except ValueError:  # bare NaN and Infinity are not JSON
+        text = json.dumps(_spell_nonfinite(payload), sort_keys=True, indent=2,
+                          default=_json_default, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _finish(payload: dict, checks: list[CheckReport], out: Optional[str]) -> int:
+    """Emit the report (with the summary when it goes to a file); exit code."""
+    _emit_json(payload, out)
+    if out:
+        _print_summary(checks)
+    return 0 if payload["passed"] else 1
 
 
 def _print_summary(checks: list[CheckReport]) -> None:
@@ -167,15 +191,24 @@ def _resolve_suites(raw: Optional[list[str]]) -> list[str]:
 
 def cmd_verify(args) -> int:
     names = _resolve_suites(args.suite)
-    checks = run_suites(names, seed=args.seed, tol=args.tol)
+    checks, raised = [], []
+    for name in names:
+        # a suite that raises becomes a failing row; the others still run
+        try:
+            checks.extend(run_suites([name], seed=args.seed, tol=args.tol))
+        except (Conformal2dError, ArithmeticError, ValueError) as e:
+            raised.append(f"{name} ({type(e).__name__}: {e})")
+            checks.append(CheckReport.from_errors(
+                f"suite-error[{name}]", [1.0], 0.0,
+                extras={"exception": type(e).__name__, "message": str(e)}))
     config = {"suites": names, "tol": args.tol}
     payload = _payload("verify", config, checks, args.seed)
     if args.csv_dir:
         _write_witness_csvs(checks, args.csv_dir)
-    _emit_json(payload, args.out)
-    if args.out:
-        _print_summary(checks)
-    return 0 if payload["passed"] else 1
+    code = _finish(payload, checks, args.out)
+    if raised:
+        print(f"error: suite raised: {'; '.join(raised)}", file=sys.stderr)
+    return 2 if raised else code
 
 
 def cmd_envelope(args) -> int:
@@ -210,10 +243,7 @@ def cmd_envelope(args) -> int:
                                             f"envelope-eps{eps:g}.csv"))
     config = {"eps": list(eps_list), "tol": tol, **source}
     payload = _payload("envelope", config, checks, None)
-    _emit_json(payload, args.out)
-    if args.out:
-        _print_summary(checks)
-    return 0 if payload["passed"] else 1
+    return _finish(payload, checks, args.out)
 
 
 def cmd_solve_radial(args) -> int:
@@ -236,10 +266,7 @@ def cmd_solve_radial(args) -> int:
     config = {"f": args.f, "cone": args.cone, "v0": args.v0,
               "grid": args.grid, "tol": args.tol}
     payload = _payload("solve-radial", config, checks, None)
-    _emit_json(payload, args.out)
-    if args.out:
-        _print_summary(checks)
-    return 0 if payload["passed"] else 1
+    return _finish(payload, checks, args.out)
 
 
 def cmd_moving_spheres(args) -> int:

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, PoleError, ConjugatingUnsupported
 from .geometry import Vec2, Sym2, finite_coords
-from .mobius import AnalyticMap, ExpMap, map_from_dict, map_to_dict
+from .mobius import AnalyticMap, ExpMap, MapJet, map_from_dict, map_to_dict
 from .radial import RadialProfile
 
 LIOUVILLE_GUARD = 1e-6
@@ -347,18 +347,7 @@ class RadialField(ScalarField):
 
 @dataclass(frozen=True)
 class PullbackField(ScalarField):
-    """u_psi = u(psi(x)) + ln |J_psi(x)|.
-
-    The chain rule runs in Wirtinger form.  With q2 = psi''/psi' and
-    q3 = psi'''/psi', for holomorphic psi
-
-        v_z     = (u_w o psi) psi' + q2,
-        v_zz    = (u_ww o psi) psi'^2 + (u_w o psi) psi'' + (q3 - q2^2),
-        v_zzbar = (u_wwbar o psi) |psi'|^2,
-
-    and for orientation-reversing psi the first two lines are conjugated
-    (with the generating-function jet in place of psi derivatives).
-    """
+    """u_psi = u(psi(x)) + ln |J_psi(x)|; its jet comes from pullback_jets."""
 
     base: ScalarField
     map: AnalyticMap
@@ -374,22 +363,7 @@ class PullbackField(ScalarField):
         return self.base.excluded(Vec2.from_complex(w))
 
     def jet(self, x) -> Jet2:
-        z = Vec2.of(x).to_complex()
-        mj = self.map.jet(z)
-        if abs(mj.d1) < 1e-300:
-            raise DomainError("vanishing derivative in pullback")
-        bj = self.base.jet(Vec2.from_complex(mj.value))
-        uw, uww, uwwbar = bj.u_z, bj.u_zz, bj.u_zzbar
-        q2 = mj.d2 / mj.d1
-        q3 = mj.d3 / mj.d1
-        v_z = uw * mj.d1 + q2
-        v_zz = uww * mj.d1 * mj.d1 + uw * mj.d2 + (q3 - q2 * q2)
-        if self.map.conjugating:
-            v_z = v_z.conjugate()
-            v_zz = v_zz.conjugate()
-        v_zzbar = uwwbar * (mj.d1 * mj.d1.conjugate()).real
-        value = bj.value + 2.0 * math.log(abs(mj.d1))
-        return Jet2.from_wirtinger(value, v_z, v_zz, v_zzbar)
+        return pullback_jets(self.base, self.map, x)[2]
 
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
@@ -403,6 +377,36 @@ class PullbackField(ScalarField):
 def pullback(u: ScalarField, psi: AnalyticMap) -> PullbackField:
     """Field x -> u(psi(x)) + ln |J_psi(x)|."""
     return PullbackField(u, psi)
+
+
+def pullback_jets(u: ScalarField, psi: AnalyticMap, x) -> tuple[MapJet, Jet2, Jet2]:
+    """The jets of psi at x, of u at psi(x) and of u_psi at x, each once.
+
+    The chain rule runs in Wirtinger form.  With q2 = psi''/psi' and
+    q3 = psi'''/psi', for holomorphic psi
+
+        v_z     = (u_w o psi) psi' + q2,
+        v_zz    = (u_ww o psi) psi'^2 + (u_w o psi) psi'' + (q3 - q2^2),
+        v_zzbar = (u_wwbar o psi) |psi'|^2,
+
+    and for orientation-reversing psi the first two lines are conjugated
+    (with the generating-function jet in place of psi derivatives).
+    """
+    mj = psi.jet(Vec2.of(x).to_complex())
+    if abs(mj.d1) < 1e-300:
+        raise DomainError("vanishing derivative in pullback")
+    bj = u.jet(Vec2.from_complex(mj.value))
+    uw, uww, uwwbar = bj.u_z, bj.u_zz, bj.u_zzbar
+    q2 = mj.d2 / mj.d1
+    q3 = mj.d3 / mj.d1
+    v_z = uw * mj.d1 + q2
+    v_zz = uww * mj.d1 * mj.d1 + uw * mj.d2 + (q3 - q2 * q2)
+    if psi.conjugating:
+        v_z = v_z.conjugate()
+        v_zz = v_zz.conjugate()
+    v_zzbar = uwwbar * (mj.d1 * mj.d1.conjugate()).real
+    value = bj.value + 2.0 * math.log(abs(mj.d1))
+    return mj, bj, Jet2.from_wirtinger(value, v_z, v_zz, v_zzbar)
 
 
 def fd_jet(u: ScalarField, x, h: float | None = None, richardson: bool = False) -> Jet2:

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Conformal2dError, ConjugatingUnsupported
-from .fields import QuadraticField, ScalarField, pullback
+from .fields import QuadraticField, ScalarField, pullback_jets
 from .geometry import Vec2, Sym2, conj_orth, eig2
 from .mobius import AnalyticMap, MobiusMap, PolynomialMap
 from .ops import a_from_jet, b_from_jet
-from .report import CheckReport, worst_witnesses
+from .report import CheckReport
 
 
 def annulus_points(rng: np.random.Generator, n: int, r_in: float = 0.5,
@@ -80,16 +80,14 @@ class CovarianceErrors:
 
 
 def covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2) -> CovarianceErrors:
-    v = pullback(u, m)
-    a_v = a_from_jet(v.jet(x))
-    jd = m.jacobian(x)
-    x_img = m.apply(x)
-    base_jet = u.jet(x_img)
+    mj, base_jet, v_jet = pullback_jets(u, m, x)
+    a_v = a_from_jet(v_jet)
+    jd = m.jacobian_of(mj)
     a_u = a_from_jet(base_jet)
 
     matrix_err = (a_v - conj_orth(a_u, jd.orthogonal)).max_abs()
 
-    lhs_t = math.exp(v.jet(x).value) * a_v.as_array()
+    lhs_t = math.exp(v_jet.value) * a_v.as_array()
     rhs_t = math.exp(base_jet.value) * (jd.matrix.T @ a_u.as_array() @ jd.matrix)
     tensor_err = float(np.abs(lhs_t - rhs_t).max())
 
@@ -106,17 +104,13 @@ def check_a_covariance(u: ScalarField, m: MobiusMap, pts, tol: float) -> dict[st
     out = {}
     for name in ("matrix", "tensor", "eigen"):
         labeled = [(f"({p.x1:.3g},{p.x2:.3g})", getattr(e, name)) for p, e in rows]
-        out[name] = CheckReport.from_errors(
-            f"a-covariance-{name}", [e for _, e in labeled], tol,
-            witnesses=worst_witnesses(labeled))
+        out[name] = CheckReport.from_labeled(f"a-covariance-{name}", labeled, tol)
     return out
 
 
 def trace_residual_at(u: ScalarField, psi: AnalyticMap, x: Vec2) -> float:
     """|tr A(u_psi)(x) - tr A(u)(psi(x))|; holds for all conformal psi."""
-    v = pullback(u, psi)
-    jv = v.jet(x)
-    ju = u.jet(psi.apply(x))
+    _, ju, jv = pullback_jets(u, psi, x)
     lhs = -math.exp(-jv.value) * jv.laplacian
     rhs = -math.exp(-ju.value) * ju.laplacian
     return abs(lhs - rhs)
@@ -124,9 +118,7 @@ def trace_residual_at(u: ScalarField, psi: AnalyticMap, x: Vec2) -> float:
 
 def check_trace_conformal(u: ScalarField, psi: AnalyticMap, pts, tol: float) -> CheckReport:
     labeled = [(f"({p.x1:.3g},{p.x2:.3g})", trace_residual_at(u, psi, p)) for p in pts]
-    return CheckReport.from_errors(
-        "trace-conformal", [e for _, e in labeled], tol,
-        witnesses=worst_witnesses(labeled))
+    return CheckReport.from_labeled("trace-conformal", labeled, tol)
 
 
 def b_covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2) -> tuple[float, float]:
@@ -137,11 +129,9 @@ def b_covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2) -> tuple[float
     """
     if m.conjugating:
         raise ConjugatingUnsupported("B-covariance stated for holomorphic maps")
-    v = pullback(u, m)
-    b_v = b_from_jet(v.jet(x))
-    b_u = b_from_jet(u.jet(m.apply(x)))
-    d1 = m.jet(x.to_complex()).d1
-    phase = d1 / d1.conjugate()
+    mj, base_jet, v_jet = pullback_jets(u, m, x)
+    b_v, b_u = b_from_jet(v_jet), b_from_jet(base_jet)
+    phase = mj.d1 / mj.d1.conjugate()
     entry_err = max(abs(b_v.zzbar - b_u.zzbar), abs(b_v.zz - phase * b_u.zz))
     ev, eu = b_v.eigs(), b_u.eigs()
     eig_err = max(abs(ev.lambda1 - eu.lambda1), abs(ev.lambda2 - eu.lambda2))
@@ -153,9 +143,7 @@ def check_b_covariance(u: ScalarField, m: MobiusMap, pts, tol: float) -> dict[st
     out = {}
     for idx, name in enumerate(("entries", "eigen")):
         labeled = [(f"({p.x1:.3g},{p.x2:.3g})", e[idx]) for p, e in rows]
-        out[name] = CheckReport.from_errors(
-            f"b-covariance-{name}", [e for _, e in labeled], tol,
-            witnesses=worst_witnesses(labeled))
+        out[name] = CheckReport.from_labeled(f"b-covariance-{name}", labeled, tol)
     return out
 
 
@@ -196,13 +184,12 @@ def counterexample_iz2(a: float = 1.0, y: float = 1.0) -> QuadraticMapResult:
     u = QuadraticField(a)
     psi = PolynomialMap([0.0, 0.0, 1j])
     x = Vec2(0.0, y)
-    v = pullback(u, psi)
-    lhs = a_from_jet(v.jet(x))
-    rhs = a_from_jet(u.jet(psi.apply(x)))
+    mj, base_jet, v_jet = pullback_jets(u, psi, x)
+    lhs, rhs = a_from_jet(v_jet), a_from_jet(base_jet)
 
     trace_match = abs(lhs.trace - rhs.trace) <= 1e-10 * (1.0 + abs(rhs.trace))
     el, er = eig2(lhs), eig2(rhs)
     eigen_gap = max(abs(el.lambda1 - er.lambda1), abs(el.lambda2 - er.lambda2))
-    jd = psi.jacobian(x)
+    jd = psi.jacobian_of(mj)
     covariance_error = (lhs - conj_orth(rhs, jd.orthogonal)).max_abs()
     return QuadraticMapResult(x, lhs, rhs, trace_match, eigen_gap, covariance_error)

@@ -72,7 +72,10 @@ class AnalyticMap:
     def jacobian(self, p) -> JacobianData:
         """Real 2x2 Jacobian, its determinant, conformal factor |det|, and
         the orthogonal part o = conf^{-1/2} J."""
-        j = self.jet(Vec2.of(p).to_complex())
+        return self.jacobian_of(self.jet(Vec2.of(p).to_complex()))
+
+    def jacobian_of(self, j: MapJet) -> JacobianData:
+        """jacobian() from a jet of this map that is already at hand."""
         a, b = j.d1.real, j.d1.imag
         if self.conjugating:
             mat = np.array([[a, b], [b, -a]])

@@ -36,6 +36,12 @@ class CheckReport:
             extras=dict(extras or {}),
         )
 
+    @classmethod
+    def from_labeled(cls, name: str, labeled, tolerance: float) -> "CheckReport":
+        """from_errors over (label, error) pairs, the worst kept as witnesses."""
+        return cls.from_errors(name, [e for _, e in labeled], tolerance,
+                               witnesses=worst_witnesses(labeled))
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -48,7 +48,7 @@ from .radial import (
     ode_solve,
     radial_lambda,
 )
-from .report import CheckReport, worst_witnesses
+from .report import CheckReport
 from .spheres import bubble_fit, critical_lambda, ms_transform, ms_value
 
 
@@ -137,8 +137,7 @@ def _usable_for(u: ScalarField, m: MobiusMap) -> Callable[[Vec2], bool]:
     um = pullback(u, m)
 
     def ok(p: Vec2) -> bool:
-        um.jet(p)
-        u.jet(m.apply(p))
+        um.jet(p)  # evaluates u.jet at m(p) as well
         return True
 
     return ok
@@ -188,12 +187,8 @@ def covariance_suite(seed: Optional[int] = None,
                 rows["matrix"].append((label, e.matrix))
                 rows["tensor"].append((label, e.tensor))
                 rows["eigen"].append((label, e.eigen))
-    out = [
-        CheckReport.from_errors(f"a-covariance-{key}",
-                                [err for _, err in labeled], tol,
-                                witnesses=worst_witnesses(labeled))
-        for key, labeled in rows.items()
-    ]
+    out = [CheckReport.from_labeled(f"a-covariance-{key}", labeled, tol)
+           for key, labeled in rows.items()]
 
     herm_rows: list[tuple[str, float]] = []
     herm_fields = [fields[0], fields[3], fields[5]]
@@ -204,9 +199,7 @@ def covariance_suite(seed: Optional[int] = None,
                 e_diag, e_off = b_covariance_errors_at(u, m, p)
                 label = f"hmap{mi}/{fname}@({p.x1:.3g},{p.x2:.3g})"
                 herm_rows.append((label, max(e_diag, e_off)))
-    out.append(CheckReport.from_errors(
-        "b-covariance", [err for _, err in herm_rows], tol,
-        witnesses=worst_witnesses(herm_rows)))
+    out.append(CheckReport.from_labeled("b-covariance", herm_rows, tol))
     return out
 
 
@@ -234,9 +227,7 @@ def trace_suite(seed: Optional[int] = None,
             for p in _box_points(rng, 100, (0.3, 1.4), (0.2, 1.3)):
                 labeled.append((f"{mname}/{fname}@({p.x1:.3g},{p.x2:.3g})",
                                 abs(trace_residual_at(u, psi, p))))
-        out.append(CheckReport.from_errors(
-            f"trace-{mname}", [err for _, err in labeled], tol,
-            witnesses=worst_witnesses(labeled)))
+        out.append(CheckReport.from_labeled(f"trace-{mname}", labeled, tol))
 
     ce = counterexample_iz2(1.0, 1.0)
     out.append(_shortfall_report(
@@ -264,9 +255,7 @@ def liouville_suite(seed: Optional[int] = None,
             j = u.jet(p)
             res = abs(-(j.hess.a11 + j.hess.a22) - math.exp(j.value))
             labeled.append((f"({p.x1:.3g},{p.x2:.3g})", res))
-        out.append(CheckReport.from_errors(
-            f"liouville-pde-{name}", [err for _, err in labeled], tol,
-            witnesses=worst_witnesses(labeled)))
+        out.append(CheckReport.from_labeled(f"liouville-pde-{name}", labeled, tol))
     return out
 
 
@@ -328,9 +317,7 @@ def bubble_suite(seed: Optional[int] = None,
 
     ratio = float(np.mean(scale_vals))
     out = [
-        CheckReport.from_errors(
-            "bubble-constancy", [err for _, err in spread_rows], tol,
-            witnesses=worst_witnesses(spread_rows)),
+        CheckReport.from_labeled("bubble-constancy", spread_rows, tol),
         CheckReport.from_errors(
             "bubble-scaling", [max(scale_vals) - min(scale_vals)], tol,
             extras={"kappa_a2_over_b": ratio}),
@@ -374,9 +361,7 @@ def cross_suite(seed: Optional[int] = None, tol: Optional[float] = None,
         hi, lo = h.zzbar + abs(h.zz), h.zzbar - abs(h.zz)
         err = max(abs(ea.lambda1 - 2.0 * hi), abs(ea.lambda2 - 2.0 * lo))
         labeled.append((f"jet{i}", err))
-    return [CheckReport.from_errors(
-        "cross-representation", [e for _, e in labeled], tol,
-        witnesses=worst_witnesses(labeled))]
+    return [CheckReport.from_labeled("cross-representation", labeled, tol)]
 
 
 def monotone_suite(seed: Optional[int] = None,
@@ -452,18 +437,10 @@ def envelope_suite(seed: Optional[int] = None,
             bound = lip * lip * res.epsilon
             dist.append((f"{name}/eps={res.epsilon}",
                          float(np.maximum(0.0, res.sup_distance_to_input - bound))))
-    out.append(CheckReport.from_errors(
-        "envelope-below-input", [e for _, e in below], 0.0,
-        witnesses=worst_witnesses(below)))
-    out.append(CheckReport.from_errors(
-        "envelope-eps-monotone", [e for _, e in mono], 0.0,
-        witnesses=worst_witnesses(mono)))
-    out.append(CheckReport.from_errors(
-        "envelope-semiconcavity", [e for _, e in defect], tol,
-        witnesses=worst_witnesses(defect)))
-    out.append(CheckReport.from_errors(
-        "envelope-distance-bound", [e for _, e in dist], 0.0,
-        witnesses=worst_witnesses(dist)))
+    out.append(CheckReport.from_labeled("envelope-below-input", below, 0.0))
+    out.append(CheckReport.from_labeled("envelope-eps-monotone", mono, 0.0))
+    out.append(CheckReport.from_labeled("envelope-semiconcavity", defect, tol))
+    out.append(CheckReport.from_labeled("envelope-distance-bound", dist, 0.0))
     return out
 
 
@@ -491,9 +468,7 @@ def spheres_suite(seed: Optional[int] = None,
             y = Vec2(float(r * math.cos(t)), float(r * math.sin(t)))
             labeled.append((f"r={r:.3g}",
                             abs(ms_value(u, Vec2(0.0, 0.0), lam, y) - u.value(y))))
-    out.append(CheckReport.from_errors(
-        "spheres-equality-residual", [e for _, e in labeled], tol,
-        witnesses=worst_witnesses(labeled)))
+    out.append(CheckReport.from_labeled("spheres-equality-residual", labeled, tol))
 
     crep = critical_lambda(ConstantField(0.7), Vec2(0.0, 0.0), lam_max=50.0)
     out.append(_binary_report("spheres-constant-unbounded", crep.unbounded,
@@ -581,9 +556,7 @@ def solver_suite(seed: Optional[int] = None,
         hi, lo = rl.as_sorted()
         labeled.append((f"r={r:.3g}", max(abs(pair.lambda1 - hi),
                                           abs(pair.lambda2 - lo))))
-    out.append(CheckReport.from_errors(
-        "solver-cross-2d", [e for _, e in labeled], 1e-8,
-        witnesses=worst_witnesses(labeled)))
+    out.append(CheckReport.from_labeled("solver-cross-2d", labeled, 1e-8))
 
     bres = boundary_solve(ConeIndex(1.5), 1.0, 0.0, -6.0, 2.5)
     r = bres.profile.r

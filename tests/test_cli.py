@@ -7,7 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conformal2d import Bubble, RadialField, RadialProfile, Vec2, minimize_on_circles
+from conformal2d import (
+    Bubble,
+    CheckReport,
+    DomainError,
+    RadialField,
+    RadialProfile,
+    Vec2,
+    minimize_on_circles,
+)
+from conformal2d import suites
 from conformal2d.cli import main
 
 SCHEMA_KEYS = {"schema", "command", "seed", "config", "checks", "passed",
@@ -243,3 +252,71 @@ def test_report_rejects_wrong_schema(tmp_path, capsys):
     path.write_text(json.dumps({"schema": "other/9", "checks": []}))
     assert main(["report", str(path)]) == 2
     assert main(["report"]) == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} in report JSON")
+
+
+def _strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad input"),
+                                 OverflowError("math range error"),
+                                 DomainError("outside the domain")])
+def test_verify_survives_a_raising_suite(tmp_path, capsys, monkeypatch, exc):
+    def boom(seed=None, tol=None):
+        raise exc
+
+    monkeypatch.setitem(suites.SUITES, "cross", boom)
+    out = tmp_path / "v.json"
+    code = main(["verify", "--suite", "counterexample,cross,liouville",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [line[:6] for line in err.splitlines()] == ["error:"]
+    assert type(exc).__name__ in err and "cross" in err
+    payload = _strict_json(out.read_text())
+    assert payload["passed"] is False
+    names = [row["name"] for row in payload["checks"]]
+    assert any(n.startswith("counterexample-") for n in names)
+    assert any(n.startswith("liouville-pde-") for n in names)
+    row = next(r for r in payload["checks"] if r["name"] == "suite-error[cross]")
+    assert (row["max_error"], row["tolerance"], row["passed"]) == (1.0, 0.0, False)
+    assert row["extras"] == {"exception": type(exc).__name__, "message": str(exc)}
+    # the failing row sits where the suite's own rows would have been
+    i = names.index("suite-error[cross]")
+    assert names[i - 1].startswith("counterexample-")
+    assert names[i + 1].startswith("liouville-pde-")
+
+
+def test_report_json_spells_nan_and_round_trips(tmp_path, capsys, monkeypatch):
+    def nan_suite(seed=None, tol=None):
+        return [CheckReport.from_errors("nan-row", [0.0, float("nan")], 1.0,
+                                        witnesses=[("p", float("nan"))],
+                                        extras={"hi": float("inf"),
+                                                "lo": np.float64(-np.inf)})]
+
+    monkeypatch.setitem(suites.SUITES, "counterexample", nan_suite)
+    first, merged = tmp_path / "v.json", tmp_path / "m.json"
+    assert main(["verify", "--suite", "counterexample", "--out", str(first)]) == 1
+    row = _strict_json(first.read_text())["checks"][0]
+    assert row["max_error"] == "NaN" and row["passed"] is False
+    assert row["witnesses"] == [["p", "NaN"]]
+    assert row["extras"] == {"hi": "Infinity", "lo": "-Infinity"}
+    capsys.readouterr()
+    assert main(["report", str(first), "--out", str(merged)]) == 1
+    again = _strict_json(merged.read_text())
+    assert again["passed"] is False
+    assert again["checks"][0]["max_error"] == "NaN"
+    assert math.isnan(float(again["checks"][0]["max_error"]))
+    assert again["checks"][0]["extras"] == row["extras"]
+    assert "[FAIL] nan-row: max_error=nan" in capsys.readouterr().out
+
+
+def test_finite_reports_keep_numbers(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["verify", "--suite", "counterexample", "--out", str(out)]) == 0
+    for row in _strict_json(out.read_text())["checks"]:
+        assert isinstance(row["max_error"], float)
