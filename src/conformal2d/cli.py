@@ -2,7 +2,7 @@
 moving-spheres experiments, with JSON reports and CSV emission.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-configuration, 3 I/O failure.  Reports are deterministic for a fixed
+configuration (for verify also a suite that raised), 3 I/O failure.  Reports are deterministic for a fixed
 configuration and seed; wall-clock data lives only under "metadata".
 """
 
@@ -79,7 +79,9 @@ def _spell_nonfinite(obj):
     """obj with non-finite floats spelled "NaN", "Infinity", "-Infinity"."""
     if isinstance(obj, dict):
         return {k: _spell_nonfinite(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, np.ndarray):
+        return _spell_nonfinite(obj.tolist())
+    if isinstance(obj, (list, tuple)):
         return [_spell_nonfinite(v) for v in obj]
     if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
         return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(float(obj))]
@@ -87,12 +89,9 @@ def _spell_nonfinite(obj):
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2,
-                          default=_json_default, allow_nan=False)
-    except ValueError:  # bare NaN and Infinity are not JSON
-        text = json.dumps(_spell_nonfinite(payload), sort_keys=True, indent=2,
-                          default=_json_default, allow_nan=False)
+    # bare NaN and Infinity are not JSON
+    text = json.dumps(_spell_nonfinite(payload), sort_keys=True, indent=2,
+                      default=_json_default, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
