@@ -20,10 +20,10 @@ from .mobius import (
     MobiusMap,
     PolynomialMap,
     compose,
-    map_from_dict,
-    map_to_dict,
 )
 from .fields import (
+    FIELD_FAMILIES,
+    MAP_KINDS,
     Bubble,
     ChenLiBubble,
     ConstantField,
@@ -37,6 +37,8 @@ from .fields import (
     fd_jet,
     field_from_dict,
     field_to_dict,
+    map_from_dict,
+    map_to_dict,
     pullback,
 )
 from .ops import (

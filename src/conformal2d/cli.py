@@ -2,8 +2,10 @@
 moving-spheres experiments, with JSON reports and CSV emission.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-configuration (for verify also a suite that raised), 3 I/O failure.  Reports are deterministic for a fixed
-configuration and seed; wall-clock data lives only under "metadata".
+configuration or a numerical error (ValueError, ArithmeticError or a package
+error) in any subcommand, 3 I/O failure.  A verify suite that raises still
+gets a failing row in the written report.  Reports are deterministic for a
+fixed configuration and seed; wall-clock data lives only under "metadata".
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .spheres import critical_lambda, slack_stats
 from .suites import SUITES, run_suites
 
 SCHEMA = "conformal2d/1"
+# numerical failures: exit 2 with one "error:" line, never exit 1
+_ERRORS = (Conformal2dError, ArithmeticError, ValueError)
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -45,16 +49,6 @@ def _environment() -> dict:
         "scipy": scipy.__version__,
         "platform": platform.system(),
     }
-
-
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 def _payload(command: str, config: dict, checks: list[CheckReport],
@@ -76,22 +70,25 @@ def _payload(command: str, config: dict, checks: list[CheckReport],
 
 
 def _spell_nonfinite(obj):
-    """obj with non-finite floats spelled "NaN", "Infinity", "-Infinity"."""
+    """obj in plain Python types (numpy scalars and arrays converted), with
+    non-finite floats spelled "NaN", "Infinity", "-Infinity"."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
         return {k: _spell_nonfinite(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         return _spell_nonfinite(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [_spell_nonfinite(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(float(obj))]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(obj)]
     return obj
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
     # bare NaN and Infinity are not JSON
     text = json.dumps(_spell_nonfinite(payload), sort_keys=True, indent=2,
-                      default=_json_default, allow_nan=False)
+                      allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -195,7 +192,7 @@ def cmd_verify(args) -> int:
         # a suite that raises becomes a failing row; the others still run
         try:
             checks.extend(run_suites([name], seed=args.seed, tol=args.tol))
-        except (Conformal2dError, ArithmeticError, ValueError) as e:
+        except _ERRORS as e:
             raised.append(f"{name} ({type(e).__name__}: {e})")
             checks.append(CheckReport.from_errors(
                 f"suite-error[{name}]", [1.0], 0.0,
@@ -226,7 +223,7 @@ def cmd_envelope(args) -> int:
     tol = args.tol if args.tol is not None else 1e-9
     checks = []
     for eps in eps_list:
-        if eps <= 0:
+        if not eps > 0:  # NaN too
             raise ConfigError("eps must be positive")
         res = inf_envelope(prof, eps)
         checks.append(CheckReport.from_errors(
@@ -246,10 +243,7 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_solve_radial(args) -> int:
-    try:
-        f = resolve_symmetric_function(args.f, cone=args.cone)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    f = resolve_symmetric_function(args.f, cone=args.cone)
     r0, r1, n = _parse_grid(args.grid)
     if r0 != 0.0:
         raise ConfigError("radial solve starts at r = 0; use a grid 0:r1:n")
@@ -417,7 +411,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 3
-    except Conformal2dError as e:
+    except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

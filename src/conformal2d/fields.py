@@ -12,7 +12,10 @@ u_xy = -2 Im u_zz.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, PoleError, ConjugatingUnsupported
 from .geometry import Vec2, Sym2, finite_coords
-from .mobius import AnalyticMap, ExpMap, MapJet, map_from_dict, map_to_dict
+from .mobius import AnalyticMap, ComposedMap, ExpMap, MapJet, MobiusMap, PolynomialMap
 from .radial import RadialProfile
 
 LIOUVILLE_GUARD = 1e-6
@@ -449,58 +452,106 @@ def fd_jet(u: ScalarField, x, h: float | None = None, richardson: bool = False) 
 
 
 # -- serialization -----------------------------------------------------------
+#
+# A field is written as {"family": name} and a map as {"kind": name}, plus one
+# entry per dataclass field, coded by the field's declared type: nested fields
+# and maps the same way, Vec2 and complex values as [x, y] pairs, tuples as
+# lists.  A missing key falls back to the dataclass default.  A RadialField
+# writes its profile columns r, v[, dv, ddv] flat beside "center".
+
+FIELD_FAMILIES: dict[str, type] = {
+    "constant": ConstantField,
+    "quadratic": QuadraticField,
+    "bubble": Bubble,
+    "chen_li": ChenLiBubble,
+    "liouville": LiouvilleField,
+    "radial": RadialField,
+    "pullback": PullbackField,
+}
+MAP_KINDS: dict[str, type] = {
+    "mobius": MobiusMap,
+    "polynomial": PolynomialMap,
+    "exp": ExpMap,
+    "composed": ComposedMap,
+}
+_NOUN = {"family": "field", "kind": "map"}
+
+
+def _pair(w: complex) -> list[float]:
+    return [w.real, w.imag]
+
+
+def _complex(v) -> complex:
+    if isinstance(v, (list, tuple)):
+        re, im = v
+        return complex(re, im)
+    return complex(v)
+
+
+@functools.cache
+def _entries(cls: type) -> tuple[tuple[str, object], ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def _encode(obj, registry: dict, tag: str) -> dict:
+    name = next((n for k in type(obj).__mro__
+                 for n, cls in registry.items() if cls is k), None)
+    if name is None:
+        raise ValueError(f"cannot serialize {_NOUN[tag]} of type {type(obj).__name__}")
+    out = {tag: name}
+    for key, tp in _entries(type(obj)):
+        v = getattr(obj, key)
+        if tp is RadialProfile:
+            # derivative columns carry accuracy the value spline alone cannot
+            out.update((col, getattr(v, col).tolist()) for col in v.columns())
+        else:
+            out[key] = _CODECS[tp][0](v)
+    return out
+
+
+def _decode(payload, registry: dict, tag: str):
+    if not isinstance(payload, dict):
+        raise ValueError(f"{_NOUN[tag]} spec must be a JSON object, "
+                         f"not {type(payload).__name__}")
+    cls = registry.get(payload.get(tag))
+    if cls is None:
+        raise ValueError(f"unknown {_NOUN[tag]} {tag} {payload.get(tag)!r}")
+    kwargs = {}
+    for key, tp in _entries(cls):
+        if tp is RadialProfile:
+            kwargs[key] = RadialProfile(payload["r"], payload["v"],
+                                        payload.get("dv"), payload.get("ddv"))
+        elif key in payload:
+            kwargs[key] = _CODECS[tp][1](payload[key])
+    return cls(**kwargs)
 
 
 def field_to_dict(u: ScalarField) -> dict:
-    if isinstance(u, ConstantField):
-        return {"family": "constant", "c": u.c}
-    if isinstance(u, QuadraticField):
-        return {"family": "quadratic", "a": u.a}
-    if isinstance(u, Bubble):
-        return {"family": "bubble", "a": u.a, "b": u.b, "x0": [u.x0.x1, u.x0.x2]}
-    if isinstance(u, ChenLiBubble):
-        return {"family": "chen_li", "a": u.a, "x0": [u.x0.x1, u.x0.x2]}
-    if isinstance(u, LiouvilleField):
-        return {"family": "liouville", "f": map_to_dict(u.f)}
-    if isinstance(u, RadialField):
-        out = {
-            "family": "radial",
-            "r": [float(t) for t in u.profile.r],
-            "v": [float(t) for t in u.profile.v],
-            "center": [u.center.x1, u.center.x2],
-        }
-        # derivative columns carry accuracy the value spline alone cannot
-        if u.profile.dv is not None:
-            out["dv"] = [float(t) for t in u.profile.dv]
-        if u.profile.ddv is not None:
-            out["ddv"] = [float(t) for t in u.profile.ddv]
-        return out
-    if isinstance(u, PullbackField):
-        return {"family": "pullback", "base": field_to_dict(u.base), "map": map_to_dict(u.map)}
-    raise ValueError(f"cannot serialize field of type {type(u).__name__}")
+    return _encode(u, FIELD_FAMILIES, "family")
 
 
 def field_from_dict(payload: dict) -> ScalarField:
-    fam = payload.get("family")
-    if fam == "constant":
-        return ConstantField(float(payload["c"]))
-    if fam == "quadratic":
-        return QuadraticField(float(payload["a"]))
-    if fam == "bubble":
-        return Bubble(float(payload["a"]), float(payload["b"]),
-                      Vec2.of(payload.get("x0", (0.0, 0.0))))
-    if fam == "chen_li":
-        return ChenLiBubble(float(payload["a"]), Vec2.of(payload.get("x0", (0.0, 0.0))))
-    if fam == "liouville":
-        return LiouvilleField(map_from_dict(payload["f"]))
-    if fam == "exp_example":
-        return exp_example()
-    if fam == "radial":
-        opt = {k: np.asarray(payload[k], dtype=float)
-               for k in ("dv", "ddv") if payload.get(k) is not None}
-        prof = RadialProfile(np.asarray(payload["r"], dtype=float),
-                             np.asarray(payload["v"], dtype=float), **opt)
-        return RadialField(prof, Vec2.of(payload.get("center", (0.0, 0.0))))
-    if fam == "pullback":
-        return PullbackField(field_from_dict(payload["base"]), map_from_dict(payload["map"]))
-    raise ValueError(f"unknown field family {fam!r}")
+    if isinstance(payload, dict) and payload.get("family") == "exp_example":
+        return exp_example()  # legacy name of {"family": "liouville", "f": {"kind": "exp"}}
+    return _decode(payload, FIELD_FAMILIES, "family")
+
+
+def map_to_dict(m: AnalyticMap) -> dict:
+    return _encode(m, MAP_KINDS, "kind")
+
+
+def map_from_dict(payload: dict) -> AnalyticMap:
+    return _decode(payload, MAP_KINDS, "kind")
+
+
+# declared type -> (encode, decode) of one entry
+_CODECS = {
+    float: (lambda v: v, float),
+    bool: (lambda v: v, bool),
+    complex: (_pair, _complex),
+    tuple[complex, ...]: (lambda t: [_pair(w) for w in t], lambda v: tuple(map(_complex, v))),
+    Vec2: (lambda p: [p.x1, p.x2], Vec2.of),
+    ScalarField: (field_to_dict, field_from_dict),
+    AnalyticMap: (map_to_dict, map_from_dict),
+}

@@ -73,9 +73,6 @@ class Vec2:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Vec2") -> float:
-        return self.x1 * other.x1 + self.x2 * other.x2
-
 
 @dataclass(frozen=True)
 class Sym2:
@@ -151,9 +148,6 @@ class EigenPair:
     @property
     def det(self) -> float:
         return self.lambda1 * self.lambda2
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lambda1, self.lambda2)
 
 
 @dataclass(frozen=True)

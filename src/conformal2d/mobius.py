@@ -198,37 +198,6 @@ class MobiusMap(AnalyticMap):
             a, b, c, d = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
         return MobiusMap(a, b, c, d, self.conjugating)
 
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self) -> dict:
-        def pair(w: complex) -> list[float]:
-            return [w.real, w.imag]
-
-        return {
-            "kind": "mobius",
-            "a": pair(self.a),
-            "b": pair(self.b),
-            "c": pair(self.c),
-            "d": pair(self.d),
-            "conjugating": self.conjugating,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MobiusMap":
-        def num(v) -> complex:
-            if isinstance(v, (int, float)):
-                return complex(v)
-            re, im = v
-            return complex(re, im)
-
-        return cls(
-            num(payload["a"]),
-            num(payload["b"]),
-            num(payload["c"]),
-            num(payload["d"]),
-            bool(payload.get("conjugating", False)),
-        )
-
 
 def compose(m1: AnalyticMap, m2: AnalyticMap) -> AnalyticMap:
     """Map acting as m1 after m2: apply(compose(m1, m2), p) = apply(m1, apply(m2, p)).
@@ -293,7 +262,7 @@ class PolynomialMap(AnalyticMap):
     """Polynomial map sum_k coeffs[k] z^k; critical points are excluded
     with a guard radius of 1e-6."""
 
-    coeffs: tuple
+    coeffs: tuple[complex, ...]
 
     def __init__(self, coeffs) -> None:
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
@@ -343,26 +312,3 @@ class ExpMap(AnalyticMap):
         if not np.isfinite(w).all():
             raise OverflowError("math range error")  # as cmath.exp raises
         return w, w
-
-
-def map_from_dict(payload: dict) -> AnalyticMap:
-    kind = payload.get("kind")
-    if kind == "mobius":
-        return MobiusMap.from_dict(payload)
-    if kind == "polynomial":
-        coeffs = [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                  for c in payload["coeffs"]]
-        return PolynomialMap(coeffs)
-    if kind == "exp":
-        return ExpMap()
-    raise ValueError(f"unknown map kind {kind!r}")
-
-
-def map_to_dict(m: AnalyticMap) -> dict:
-    if isinstance(m, MobiusMap):
-        return m.to_dict()
-    if isinstance(m, PolynomialMap):
-        return {"kind": "polynomial", "coeffs": [[c.real, c.imag] for c in m.coeffs]}
-    if isinstance(m, ExpMap):
-        return {"kind": "exp"}
-    raise ValueError(f"cannot serialize map of type {type(m).__name__}")

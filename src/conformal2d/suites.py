@@ -55,15 +55,8 @@ from .spheres import bubble_fit, critical_lambda, ms_transform, ms_value
 def _binary_report(name: str, ok: bool, extras: Optional[dict] = None,
                    witnesses=()) -> CheckReport:
     """Pass/fail check reported as error 0 or 1 against tolerance 0."""
-    return CheckReport(
-        name=name,
-        points_tested=1,
-        max_error=0.0 if ok else 1.0,
-        tolerance=0.0,
-        passed=ok,
-        witnesses=tuple(witnesses),
-        extras=dict(extras or {}),
-    )
+    return CheckReport.from_errors(name, [0.0 if ok else 1.0], 0.0,
+                                   witnesses=witnesses, extras=extras)
 
 
 def _shortfall_report(name: str, observed: float, at_least: float,
@@ -71,17 +64,10 @@ def _shortfall_report(name: str, observed: float, at_least: float,
     """Check that a quantity is LARGE: error is the shortfall below at_least.
 
     A NaN observation gives a NaN shortfall, which fails."""
-    shortfall = float(np.maximum(0.0, at_least - observed))
     ex = {"observed": float(observed), "required_at_least": float(at_least)}
     ex.update(extras or {})
-    return CheckReport(
-        name=name,
-        points_tested=1,
-        max_error=shortfall,
-        tolerance=0.0,
-        passed=shortfall <= 0.0,
-        extras=ex,
-    )
+    return CheckReport.from_errors(name, [np.maximum(0.0, at_least - observed)], 0.0,
+                                   extras=ex)
 
 
 def _box_points(rng: np.random.Generator, n: int, x_range, y_range) -> list[Vec2]:
