@@ -252,7 +252,10 @@ def cmd_solve_radial(args) -> int:
     checks = [CheckReport.from_errors(
         f"solve-residual[{args.f}]", [float(res.residual.max())], 1e-9,
         extras={"mu": res.mu, "cone_exit": res.cone_exit,
-                "v0": args.v0, "cone_p": args.cone})]
+                "v0": args.v0, "cone_p": args.cone,
+                "accepted_steps": res.steps.accepted,
+                "rejected_steps": res.steps.rejected,
+                "rhs_evals": res.steps.rhs_evals})]
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
         res.to_csv(os.path.join(args.csv_dir, f"solve-{_safe_name(args.f)}.csv"))

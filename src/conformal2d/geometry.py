@@ -89,16 +89,6 @@ class Sym2:
     def identity(cls, scale: float = 1.0) -> "Sym2":
         return cls(scale, 0.0, scale)
 
-    @classmethod
-    def from_array(cls, m, sym_tol: float = 1e-9) -> "Sym2":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 array")
-        if abs(m[0, 1] - m[1, 0]) > sym_tol * (1.0 + np.abs(m).max()):
-            raise ValueError("matrix is not symmetric")
-        off = 0.5 * (m[0, 1] + m[1, 0])
-        return cls(m[0, 0], off, m[1, 1])
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 

@@ -154,10 +154,6 @@ class SymmetricFunction:
             if not (g[0] > 0.0 and g[1] > 0.0):
                 raise ValueError(f"{self.name}: not elliptic at ({l1:.4g}, {l2:.4g})")
 
-    def raw(self, l1: float, l2: float) -> float:
-        """Evaluate without cone enforcement (solver internals only)."""
-        return self.fn(l1, l2)
-
 
 def f_eval(f: SymmetricFunction, lams) -> FEvalResult:
     """Evaluate f with cone enforcement; ConeError outside the open cone."""

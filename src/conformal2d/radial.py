@@ -290,11 +290,21 @@ class SolveConfig:
     root_residual_max: float = 1e-11
 
 
+@dataclass
+class StepCounts:
+    """Work done by one adaptive integration: accepted and rejected step
+    attempts and right-hand-side evaluations."""
+
+    accepted: int = 0
+    rejected: int = 0
+    rhs_evals: int = 0
+
+
 @dataclass(frozen=True)
 class RadialSolveResult:
     """Solver output: profile with derivative column, eigenvalues, per-node
-    equation residual, the diagonal seed mu, and the first cone-exit radius
-    (None when the trajectory stays in the cone)."""
+    equation residual, the diagonal seed mu, the first cone-exit radius
+    (None when the trajectory stays in the cone) and the stepper's work."""
 
     profile: RadialProfile
     lambda1: np.ndarray
@@ -302,6 +312,7 @@ class RadialSolveResult:
     residual: np.ndarray
     mu: float
     cone_exit: Optional[float]
+    steps: StepCounts
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -326,7 +337,7 @@ def _diagonal_seed(f: SymmetricFunction) -> float:
     """Solve f(mu, mu) = 1 on the diagonal; ellipticity makes it monotone."""
 
     def fun(t: float) -> float:
-        return f.raw(t, t) - 1.0
+        return f.fn(t, t) - 1.0
 
     lo = 1e-12
     if fun(lo) >= 0.0:
@@ -366,14 +377,16 @@ def _solve_lambda1(f: SymmetricFunction, cone: ConeIndex, lam2: float,
     if lo is None:
         raise _ConeExitSignal(r)
 
-    def fun(t: float) -> float:
-        return f.raw(t, lam2) - 1.0
-
-    if fun(lo) >= 0.0:
+    fn = f.fn
+    if fn(lo, lam2) - 1.0 >= 0.0:
         raise _ConeExitSignal(r)
     if f.lambda1 is not None:
         lam1 = f.lambda1(lam2)
     else:
+
+        def fun(t: float) -> float:
+            return fn(t, lam2) - 1.0
+
         hi = max(lam2 + 2.0 * max(1.0, abs(lam2)), lo + 1.0)
         tries = 0
         while fun(hi) <= 0.0:
@@ -382,62 +395,99 @@ def _solve_lambda1(f: SymmetricFunction, cone: ConeIndex, lam2: float,
             if tries > 200:
                 raise StepFailure(f"lambda1 bracket expansion failed at r = {r:.6g}")
         lam1 = float(brentq(fun, lo, hi, xtol=1e-15))
-    residual = abs(f.raw(lam1, lam2) - 1.0)
+    residual = abs(fn(lam1, lam2) - 1.0)
     if not residual <= cfg.root_residual_max:
         raise StepFailure(f"lambda1 residual {residual:.3e} at r = {r:.6g}")
     return lam1, residual
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-
 def _integrate_to_nodes(rhs, r0: float, v0: float, w0: float, nodes,
-                        cfg: SolveConfig, collect) -> None:
-    """Adaptive Dormand-Prince march of (v, w) hitting each node exactly.
+                        cfg: SolveConfig, collect, counts: StepCounts) -> None:
+    """Adaptive Dormand-Prince 5(4) march of (v, w) hitting each node exactly.
 
     ``rhs(r, v, w)`` returns (v', w') and ``collect(r, v, w)`` is called at
     every node; exceptions from ``rhs`` propagate so the caller can truncate.
+    The pair is first same as last (Hairer-Norsett-Wanner, Solving ODEs I,
+    section II.5): stage 7 of an accepted step is evaluated at the new state
+    and becomes stage 1 of the next step, and a rejected step keeps its
+    stage 1, so an attempt costs six evaluations.  Every stage and weight sum
+    is written out as sum() rounds it: left to right from 0, zero weights
+    kept.  ``counts`` is filled in even when an exception ends the march.
     """
     r, v, w = r0, v0, w0
-    h = cfg.h_init
-    for rt in nodes:
-        while r < rt - 1e-14 * max(1.0, rt):
-            h_try = min(h, cfg.h_max, rt - r)
-            while True:
-                k = [rhs(r, v, w)]
-                for i in range(1, 7):
-                    k.append(rhs(r + _DP_C[i] * h_try,
-                                 v + h_try * sum(a * kj[0] for a, kj in zip(_DP_A[i], k)),
-                                 w + h_try * sum(a * kj[1] for a, kj in zip(_DP_A[i], k))))
-                v5 = v + h_try * sum(b * ki[0] for b, ki in zip(_DP_B5, k))
-                w5 = w + h_try * sum(b * ki[1] for b, ki in zip(_DP_B5, k))
-                v4 = v + h_try * sum(b * ki[0] for b, ki in zip(_DP_B4, k))
-                w4 = w + h_try * sum(b * ki[1] for b, ki in zip(_DP_B4, k))
-                ev = abs(v5 - v4) / (cfg.atol + cfg.rtol * max(abs(v), abs(v5)))
-                ew = abs(w5 - w4) / (cfg.atol + cfg.rtol * max(abs(w), abs(w5)))
-                # a NaN in either component must reject the step
-                err = max(ev, ew) if ew == ew else ew
-                if err <= 1.0:
-                    r += h_try
-                    v, w = v5, w5
-                    h = h_try * min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
-                    break
-                h_try *= max(0.2, 0.9 * err**-0.2)
-                if h_try < 1e-13:
-                    raise StepFailure(f"step size underflow at r = {r:.6g}")
-        collect(rt, v, w)
+    h_next = cfg.h_init
+    atol, rtol, h_max = cfg.atol, cfg.rtol, cfg.h_max
+    have_k1 = False
+    accepted = rejected = nfev = 0
+    try:
+        for rt in nodes:
+            while r < rt - 1e-14 * max(1.0, rt):
+                if not have_k1:
+                    nfev += 1
+                    k1v, k1w = rhs(r, v, w)
+                    have_k1 = True
+                h = min(h_next, h_max, rt - r)
+                while True:
+                    nfev += 1
+                    k2v, k2w = rhs(r + 1 / 5 * h,
+                                   v + h * (0 + 1 / 5 * k1v),
+                                   w + h * (0 + 1 / 5 * k1w))
+                    nfev += 1
+                    k3v, k3w = rhs(r + 3 / 10 * h,
+                                   v + h * (0 + 3 / 40 * k1v + 9 / 40 * k2v),
+                                   w + h * (0 + 3 / 40 * k1w + 9 / 40 * k2w))
+                    nfev += 1
+                    k4v, k4w = rhs(r + 4 / 5 * h,
+                                   v + h * (0 + 44 / 45 * k1v - 56 / 15 * k2v + 32 / 9 * k3v),
+                                   w + h * (0 + 44 / 45 * k1w - 56 / 15 * k2w + 32 / 9 * k3w))
+                    nfev += 1
+                    k5v, k5w = rhs(r + 8 / 9 * h,
+                                   v + h * (0 + 19372 / 6561 * k1v - 25360 / 2187 * k2v
+                                            + 64448 / 6561 * k3v - 212 / 729 * k4v),
+                                   w + h * (0 + 19372 / 6561 * k1w - 25360 / 2187 * k2w
+                                            + 64448 / 6561 * k3w - 212 / 729 * k4w))
+                    nfev += 1
+                    k6v, k6w = rhs(r + h,
+                                   v + h * (0 + 9017 / 3168 * k1v - 355 / 33 * k2v
+                                            + 46732 / 5247 * k3v + 49 / 176 * k4v
+                                            - 5103 / 18656 * k5v),
+                                   w + h * (0 + 9017 / 3168 * k1w - 355 / 33 * k2w
+                                            + 46732 / 5247 * k3w + 49 / 176 * k4w
+                                            - 5103 / 18656 * k5w))
+                    # stage 7 sits at the fifth-order solution, less its zero-weight k7 term
+                    sv = (0 + 35 / 384 * k1v + 0.0 * k2v + 500 / 1113 * k3v
+                          + 125 / 192 * k4v - 2187 / 6784 * k5v + 11 / 84 * k6v)
+                    sw = (0 + 35 / 384 * k1w + 0.0 * k2w + 500 / 1113 * k3w
+                          + 125 / 192 * k4w - 2187 / 6784 * k5w + 11 / 84 * k6w)
+                    nfev += 1
+                    k7v, k7w = rhs(r + h, v + h * sv, w + h * sw)
+                    v5 = v + h * (sv + 0.0 * k7v)
+                    w5 = w + h * (sw + 0.0 * k7w)
+                    v4 = v + h * (0 + 5179 / 57600 * k1v + 0.0 * k2v + 7571 / 16695 * k3v
+                                  + 393 / 640 * k4v - 92097 / 339200 * k5v
+                                  + 187 / 2100 * k6v + 1 / 40 * k7v)
+                    w4 = w + h * (0 + 5179 / 57600 * k1w + 0.0 * k2w + 7571 / 16695 * k3w
+                                  + 393 / 640 * k4w - 92097 / 339200 * k5w
+                                  + 187 / 2100 * k6w + 1 / 40 * k7w)
+                    ev = abs(v5 - v4) / (atol + rtol * max(abs(v), abs(v5)))
+                    ew = abs(w5 - w4) / (atol + rtol * max(abs(w), abs(w5)))
+                    # a NaN in either component must reject the step
+                    err = max(ev, ew) if ew == ew else ew
+                    if err <= 1.0:
+                        # err <= 1 makes k7 finite, so (v5, w5) is exactly where k7 was taken
+                        accepted += 1
+                        r += h
+                        v, w = v5, w5
+                        k1v, k1w = k7v, k7w
+                        h_next = h * min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
+                        break
+                    rejected += 1
+                    h *= max(0.2, 0.9 * err**-0.2)
+                    if h < 1e-13:
+                        raise StepFailure(f"step size underflow at r = {r:.6g}")
+            collect(rt, v, w)
+    finally:
+        counts.accepted, counts.rejected, counts.rhs_evals = accepted, rejected, nfev
 
 
 def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0.0,
@@ -461,10 +511,11 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
     r_out = np.linspace(0.0, r_max, cfg.n_out)
     rows: list[tuple[float, float, float, float, float, float]] = []
     exit_radius: Optional[float] = None
+    steps = StepCounts()
 
     def node_lambda(rt: float, v: float, w: float) -> tuple[float, float, float]:
         if rt == 0.0:
-            return mu, mu, abs(f.raw(mu, mu) - 1.0)
+            return mu, mu, abs(f.fn(mu, mu) - 1.0)
         lam2 = math.exp(-v) * (-w / rt - 0.25 * w * w)
         lam1, residual = _solve_lambda1(f, cone, lam2, rt, cfg)
         return lam1, lam2, residual
@@ -506,7 +557,7 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
         rs = cfg.r_series
         try:
             _integrate_to_nodes(rhs, rs, v0 + 0.5 * c2 * rs * rs, c2 * rs,
-                                main_nodes.tolist(), cfg, collect)
+                                main_nodes.tolist(), cfg, collect, steps)
         except _ConeExitSignal as sig:
             if exit_radius is None:
                 exit_radius = sig.radius
@@ -515,7 +566,8 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
     if data.shape[0] < 2:
         raise StepFailure("trajectory left the cone before two output nodes")
     profile = RadialProfile(data[:, 0], data[:, 1], dv=data[:, 2])
-    return RadialSolveResult(profile, data[:, 3], data[:, 4], data[:, 5], mu, exit_radius)
+    return RadialSolveResult(profile, data[:, 3], data[:, 4], data[:, 5], mu, exit_radius,
+                             steps)
 
 
 # -- boundary-cone trajectories (supersolution sampling) ---------------------
@@ -557,7 +609,8 @@ def boundary_solve(cone: ConeIndex, r0: float, v0: float, w0: float,
     def collect(rt: float, v: float, w: float) -> None:
         rows.append((rt, v, w))
 
-    _integrate_to_nodes(rhs, r0, float(v0), float(w0), nodes[1:].tolist(), cfg, collect)
+    _integrate_to_nodes(rhs, r0, float(v0), float(w0), nodes[1:].tolist(), cfg, collect,
+                        StepCounts())
     data = np.array(rows)
     # eigenvalues directly from the boundary relation
     lam2 = np.exp(-data[:, 1]) * (-data[:, 2] / data[:, 0] - 0.25 * data[:, 2] ** 2)
