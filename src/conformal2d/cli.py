@@ -281,6 +281,10 @@ def cmd_moving_spheres(args) -> int:
             for lam in lams:
                 st = slack_stats(u, x, float(lam))
                 fh.write(f"{lam:.17g},{st.min_slack:.17g},{st.max_abs_slack:.17g}\n")
+        with open(os.path.join(args.csv_dir, "search-trace.csv"), "w") as fh:
+            fh.write("lambda,admissible,min_slack,max_abs_slack\n")
+            for lam, admissible, min_slack, max_abs in rep.trace:
+                fh.write(f"{lam:.17g},{int(admissible)},{min_slack:.17g},{max_abs:.17g}\n")
     config = {"field": field_spec, "x": [x.x1, x.x2],
               "lam_max": args.lam_max, "tol": tol}
     payload = _payload("moving-spheres", config, [], None,

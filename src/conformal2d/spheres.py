@@ -7,6 +7,7 @@ log-Jacobian is exactly -4 ln(|y-x|/lam).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -31,22 +32,25 @@ def ms_transform(u: ScalarField, x, lam: float) -> PullbackField:
     return pullback(u, MobiusMap.sphere_inversion(Vec2.of(x), lam))
 
 
-def _ms_values(u: ScalarField, x: Vec2, lam: float, y1: np.ndarray,
-               y2: np.ndarray) -> np.ndarray:
-    """u_{x,lam} on coordinate arrays, through one call of u.values."""
+def _kelvin(x: Vec2, lam: float, y1: np.ndarray, y2: np.ndarray,
+            out: Sequence[np.ndarray]) -> np.ndarray:
+    """Write the images x + lam^2 (y-x)/|y-x|^2 into out[0], out[1] and
+    return the log-Jacobian term 2 ln(|y-x|^2 / lam^2) of u_{x,lam}."""
     d1, d2 = y1 - x.x1, y2 - x.x2
     rho2 = d1 * d1 + d2 * d2
     if (rho2 == 0.0).any():
         raise DomainError("transform undefined at its own center")
     scale = lam * lam / rho2
-    base = u.values(x.x1 + scale * d1, x.x2 + scale * d2)
-    return base - 2.0 * np.log(rho2 / (lam * lam))
+    np.add(x.x1, scale * d1, out=out[0])
+    np.add(x.x2, scale * d2, out=out[1])
+    return 2.0 * np.log(rho2 / (lam * lam))
 
 
 def ms_value(u: ScalarField, x, lam: float, y) -> float:
     """Value-only evaluation of u_{x,lam}(y), cheaper than a jet."""
-    yv = Vec2.of(y)
-    return float(_ms_values(u, Vec2.of(x), lam, np.array(yv.x1), np.array(yv.x2)))
+    yv, img = Vec2.of(y), np.empty((2, 1))
+    jac = _kelvin(Vec2.of(x), lam, np.array([yv.x1]), np.array([yv.x2]), img)
+    return float(u.values(img[0], img[1])[0] - jac[0])
 
 
 class SlackStats(NamedTuple):
@@ -55,9 +59,13 @@ class SlackStats(NamedTuple):
     admissible: bool
 
 
-def _sample_dirs(n_angles: int) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _stencil(n_angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of n_angles equally spaced directions."""
     th = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    return np.stack([np.cos(th), np.sin(th)], axis=1)
+    cos, sin = np.cos(th), np.sin(th)
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
 
 
 def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
@@ -66,23 +74,29 @@ def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
 
     Radii are log-spaced from just outside the fixed sphere to
     R_out = max(100, 10 lam); the predicate tolerance absorbs jet roundoff
-    through a 1e-9 (1 + |u|) allowance.  The whole grid is evaluated in
-    one batch.  Non-finite slack anywhere fails closed: the radius is
-    inadmissible and min_slack is NaN.
+    through a 1e-9 (1 + |u|) allowance.  The n_radii x n_angles samples y
+    and their images x + lam^2 (y-x)/|y-x|^2 go to u in one values() call,
+    so an exception from either half propagates.  Non-finite slack anywhere,
+    in either half, fails closed: the radius is inadmissible and min_slack
+    is NaN.
     """
     xv = Vec2.of(x)
     if r_out is None:
         r_out = max(100.0, 10.0 * lam)
     radii = np.geomspace(RHO_MIN_FACTOR * lam, r_out, n_radii)[:, None]
-    dirs = _sample_dirs(n_angles)
-    y1 = xv.x1 + radii * dirs[:, 0]
-    y2 = xv.x2 + radii * dirs[:, 1]
-    uy = u.values(y1, y2)
-    slack = uy - _ms_values(u, xv, lam, y1, y2)
-    finite = bool(np.isfinite(slack).all())
+    cos, sin = _stencil(n_angles)
+    # p1[0], p2[0]: the samples y; p1[1], p2[1]: their images
+    p1, p2 = np.empty((2, 2, n_radii, n_angles))
+    np.add(xv.x1, radii * cos, out=p1[0])
+    np.add(xv.x2, radii * sin, out=p2[0])
+    jac = _kelvin(xv, lam, p1[0], p2[0], (p1[1], p2[1]))
+    uy, u_img = u.values(p1, p2)
+    slack = uy - (u_img - jac)
+    max_abs = float(np.abs(slack).max())
+    finite = math.isfinite(max_abs)  # NaN and +-inf in slack both reach it
     admissible = finite and bool((slack >= -SLACK_TOL_SCALE * (1.0 + np.abs(uy))).all())
     min_slack = float(slack.min()) if finite else math.nan
-    return SlackStats(min_slack, float(np.abs(slack).max()), admissible)
+    return SlackStats(min_slack, max_abs, admissible)
 
 
 @dataclass(frozen=True)
@@ -92,7 +106,8 @@ class MovingSphereReport:
     lambda_bar is None exactly when unbounded is set (the admissibility
     predicate holds at lam_max).  equality_residual is the sup of |slack|
     at the refined touching radius; bracket records the certified bisection
-    interval.
+    interval.  trace holds (lam, admissible, min_slack, max_abs_slack) for
+    each distinct radius the search evaluated, in evaluation order.
     """
 
     x: Vec2
@@ -101,6 +116,7 @@ class MovingSphereReport:
     min_slack: float
     equality_residual: Optional[float]
     bracket: Optional[tuple[float, float]]
+    trace: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -110,6 +126,7 @@ class MovingSphereReport:
             "min_slack": self.min_slack,
             "equality_residual": self.equality_residual,
             "bracket": list(self.bracket) if self.bracket else None,
+            "slack_evaluations": len(self.trace),
         }
 
 
@@ -124,17 +141,32 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     the (signed, smooth-through-zero) minimum slack across the bracket; the
     equality residual is the sup-norm of the slack at the polished radius
     and lands far below the bisection tolerance when u is a bubble.
+
+    Each distinct radius costs one slack_stats call per search: brentq's
+    bracket ends and the polished radius are read back, and the bisection
+    also stops when lo and hi are adjacent doubles.  lam_max and tol must be
+    finite and positive (ValueError otherwise).
     """
-    if lam_max <= 0.0:
-        raise ValueError("lam_max must be positive")
+    if not (math.isfinite(lam_max) and lam_max > 0.0):
+        raise ValueError("lam_max must be finite and positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     xv = Vec2.of(x)
+    memo: dict[float, SlackStats] = {}
 
     def stats(lam: float) -> SlackStats:
-        return slack_stats(u, xv, lam, n_radii=n_radii, n_angles=n_angles)
+        if lam not in memo:
+            memo[lam] = slack_stats(u, xv, lam, n_radii=n_radii, n_angles=n_angles)
+        return memo[lam]
+
+    def report(*fields) -> MovingSphereReport:
+        trace = tuple((float(lam), st.admissible, st.min_slack, st.max_abs_slack)
+                      for lam, st in memo.items())
+        return MovingSphereReport(xv, *fields, trace=trace)
 
     top = stats(lam_max)
     if top.admissible:
-        return MovingSphereReport(xv, None, True, top.min_slack, None, None)
+        return report(None, True, top.min_slack, None, None)
 
     lo, lo_stats = lam_max, top
     for _ in range(60):
@@ -148,6 +180,8 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
 
     while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles
         st = stats(mid)
         if st.admissible:
             lo, lo_stats = mid, st
@@ -159,8 +193,7 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
         lam_bar = float(brentq(lambda lam: stats(lam).min_slack, lo, hi,
                                xtol=1e-14 * lo))
     equality_residual = stats(lam_bar).max_abs_slack
-    return MovingSphereReport(xv, lam_bar, False, lo_stats.min_slack,
-                              equality_residual, (lo, hi))
+    return report(lam_bar, False, lo_stats.min_slack, equality_residual, (lo, hi))
 
 
 @dataclass(frozen=True)
