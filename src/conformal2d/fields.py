@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, PoleError, ConjugatingUnsupported
+from .errors import DomainError, ConjugatingUnsupported
 from .geometry import Vec2, Sym2, finite_coords
 from .mobius import AnalyticMap, ComposedMap, ExpMap, MapJet, MobiusMap, PolynomialMap
 from .radial import RadialProfile
 
-LIOUVILLE_GUARD = 1e-6
+# |psi'| below this has no usable log-Jacobian: pullbacks refuse the point
+VANISHING_DERIVATIVE = 1e-300
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,9 @@ class ScalarField:
     """Base class: a scalar field with an exact jet evaluator.
 
     Each family has one scalar evaluator, jet(), with value() its value
-    channel, and one batch evaluator, values().
+    channel, and one batch evaluator, values().  A family that is another
+    family in disguise evaluates through it: a ChenLiBubble is a Bubble, and
+    a LiouvilleField's values are those of a pullback of the standard bubble.
     """
 
     def jet(self, x) -> Jet2:
@@ -171,9 +174,18 @@ class Bubble(ScalarField):
         return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(8.0 * r * r + self.b)
 
 
+# ln 8 - 2 ln(1 + |w|^2): the solution of -Laplacian u = e^u that every
+# Liouville field pulls back
+_STANDARD_BUBBLE = Bubble(math.sqrt(8.0), 8.0)
+
+
 @dataclass(frozen=True)
 class ChenLiBubble(ScalarField):
-    """u(x) = 2 ln(8 a) - 2 ln(|x - x0|^2 + 8 a^2); total mass of e^u is 8 pi."""
+    """u(x) = 2 ln(8 a) - 2 ln(|x - x0|^2 + 8 a^2); total mass of e^u is 8 pi.
+
+    This is Bubble(8 a, 64 a^2, x0), built once at construction; jet() and
+    values() are that bubble's.
+    """
 
     a: float
     x0: Vec2 = Vec2(0.0, 0.0)
@@ -182,27 +194,17 @@ class ChenLiBubble(ScalarField):
         if not self.a > 0.0:
             raise ValueError("scale must be positive")
         object.__setattr__(self, "x0", Vec2.of(self.x0))
+        object.__setattr__(self, "_bubble",
+                           Bubble(8.0 * self.a, 64.0 * self.a * self.a, self.x0))
 
     def as_bubble(self) -> Bubble:
-        # identical field in the wider two-parameter family
-        return Bubble(8.0 * self.a, 64.0 * self.a * self.a, self.x0)
+        return self._bubble
 
     def jet(self, x) -> Jet2:
-        p = Vec2.of(x)
-        dx = p - self.x0
-        t = dx.x1 * dx.x1 + dx.x2 * dx.x2 + 8.0 * self.a * self.a
-        value = 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(t)
-        g = dx * (-4.0 / t)
-        c = 8.0 / (t * t)
-        hess = Sym2(
-            -4.0 / t + c * dx.x1 * dx.x1,
-            c * dx.x1 * dx.x2,
-            -4.0 / t + c * dx.x2 * dx.x2,
-        )
-        return Jet2(value, g, hess)
+        return self._bubble.jet(x)
 
     def values(self, x1, x2) -> np.ndarray:
-        return self.as_bubble().values(x1, x2)
+        return self._bubble.values(x1, x2)
 
     def tail_mass(self, radius: float) -> float:
         """Exact integral of e^u outside the disc of given radius about x0."""
@@ -214,8 +216,11 @@ class ChenLiBubble(ScalarField):
 class LiouvilleField(ScalarField):
     """u = ln( 8 |f'|^2 / (1 + |f|^2)^2 ) for a holomorphic f.
 
-    Then -Laplacian(u) = e^u identically.  Points within 1e-6 of a zero of f'
-    or a pole of f are excluded.
+    This is the pullback through f of the standard bubble ln 8 - 2 ln(1 + |w|^2),
+    so -Laplacian(u) = e^u identically.  values() is that pullback's; jet()
+    is the closed form, an independent route to the same numbers.  Both
+    raise DomainError where f does (a pole, a polynomial critical point
+    within 1e-6) and where |f'| < VANISHING_DERIVATIVE.
     """
 
     f: AnalyticMap
@@ -228,14 +233,9 @@ class LiouvilleField(ScalarField):
         return self.f.excluded(Vec2.of(x).to_complex())
 
     def jet(self, x) -> Jet2:
-        z = Vec2.of(x).to_complex()
-        try:
-            fj = self.f.jet(z)
-        except PoleError as exc:
-            raise DomainError(str(exc)) from exc
-        if abs(fj.d1) < LIOUVILLE_GUARD:
-            raise DomainError("within guard radius of a critical point of f")
-        w, d1, d2, d3 = fj
+        w, d1, d2, d3 = self.f.jet(Vec2.of(x).to_complex())
+        if abs(d1) < VANISHING_DERIVATIVE:
+            raise DomainError("vanishing derivative in pullback")
         m = 1.0 + (w * w.conjugate()).real
         wc = w.conjugate()
         q = d2 / d1
@@ -246,17 +246,7 @@ class LiouvilleField(ScalarField):
         return Jet2.from_wirtinger(value, u_z, u_zz, u_zzbar)
 
     def values(self, x1, x2) -> np.ndarray:
-        x1, x2 = finite_coords(x1, x2)
-        try:
-            w, d1 = self.f.values_d1(x1 + 1j * x2)
-        except PoleError as exc:
-            raise DomainError(str(exc)) from exc
-        # np.hypot rounds like abs(complex); np.abs of a complex array need not
-        ad1 = np.hypot(d1.real, d1.imag)
-        if (ad1 < LIOUVILLE_GUARD).any():
-            raise DomainError("within guard radius of a critical point of f")
-        m = 1.0 + np.hypot(w.real, w.imag) ** 2
-        return math.log(8.0) + 2.0 * np.log(ad1) - 2.0 * np.log(m)
+        return PullbackField(_STANDARD_BUBBLE, self.f).values(x1, x2)
 
     def schwarzian(self, x) -> complex:
         """S(f) = f'''/f' - (3/2)(f''/f')^2; controls the traceless part."""
@@ -308,15 +298,17 @@ class RadialField(ScalarField):
     def r_max(self) -> float:
         return float(self.profile.r[-1])
 
+    def _outside(self, r):
+        """Radii, scalar or array, beyond the profile range by over 1e-12."""
+        return (r < self.r_min - 1e-12) | (r > self.r_max + 1e-12)
+
     def excluded(self, x) -> bool:
-        r = (Vec2.of(x) - self.center).norm()
-        return r < self.r_min - 1e-12 or r > self.r_max + 1e-12
+        return self._outside((Vec2.of(x) - self.center).norm())
 
     def jet(self, x) -> Jet2:
-        p = Vec2.of(x)
-        dx = p - self.center
+        dx = Vec2.of(x) - self.center
         r = dx.norm()
-        if self.excluded(p):
+        if self._outside(r):
             raise DomainError(f"radius {r:.6g} outside profile range")
         sv, sdv, sddv = self._sv, self._sdv, self._sddv
         v = float(sv(r))
@@ -342,7 +334,7 @@ class RadialField(ScalarField):
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
         r = np.hypot(x1 - self.center.x1, x2 - self.center.x2)
-        bad = (r < self.r_min - 1e-12) | (r > self.r_max + 1e-12)
+        bad = self._outside(r)
         if bad.any():
             raise DomainError(f"radius {r[bad].flat[0]:.6g} outside profile range")
         return self._sv(r)
@@ -372,7 +364,7 @@ class PullbackField(ScalarField):
         x1, x2 = finite_coords(x1, x2)
         w, d1 = self.map.values_d1(x1 + 1j * x2)
         ad1 = np.abs(d1)
-        if (ad1 < 1e-300).any():
+        if (ad1 < VANISHING_DERIVATIVE).any():
             raise DomainError("vanishing derivative in pullback")
         return self.base.values(w.real, w.imag) + 2.0 * np.log(ad1)
 
@@ -396,7 +388,7 @@ def pullback_jets(u: ScalarField, psi: AnalyticMap, x) -> tuple[MapJet, Jet2, Je
     (with the generating-function jet in place of psi derivatives).
     """
     mj = psi.jet(Vec2.of(x).to_complex())
-    if abs(mj.d1) < 1e-300:
+    if abs(mj.d1) < VANISHING_DERIVATIVE:
         raise DomainError("vanishing derivative in pullback")
     bj = u.jet(Vec2.from_complex(mj.value))
     uw, uww, uwwbar = bj.u_z, bj.u_zz, bj.u_zzbar

@@ -85,10 +85,6 @@ class Sym2:
     def __post_init__(self) -> None:
         _require_finite(self.a11, self.a12, self.a22)
 
-    @classmethod
-    def identity(cls, scale: float = 1.0) -> "Sym2":
-        return cls(scale, 0.0, scale)
-
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
 
@@ -158,12 +154,6 @@ class Orthogonal2:
     def rotation(cls, theta: float) -> "Orthogonal2":
         c, s = math.cos(theta), math.sin(theta)
         return cls(c, -s, s, c)
-
-    @classmethod
-    def reflection(cls, theta: float = 0.0) -> "Orthogonal2":
-        """Reflection across the line at angle theta through the origin."""
-        c, s = math.cos(2.0 * theta), math.sin(2.0 * theta)
-        return cls(c, s, s, -c)
 
     @classmethod
     def from_array(cls, m) -> "Orthogonal2":
