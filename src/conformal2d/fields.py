@@ -19,8 +19,8 @@ import typing
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._scipy import CubicSpline
 from .errors import DomainError, ConjugatingUnsupported
 from .geometry import Vec2, Sym2, finite_coords
 from .mobius import AnalyticMap, ComposedMap, ExpMap, MapJet, MobiusMap, PolynomialMap
@@ -449,7 +449,9 @@ def fd_jet(u: ScalarField, x, h: float | None = None, richardson: bool = False) 
 # entry per dataclass field, coded by the field's declared type: nested fields
 # and maps the same way, Vec2 and complex values as [x, y] pairs, tuples as
 # lists.  A missing key falls back to the dataclass default.  A RadialField
-# writes its profile columns r, v[, dv, ddv] flat beside "center".
+# writes its profile columns r, v[, dv, ddv] flat beside "center".  A MobiusMap
+# loads through MobiusMap.restored, so saved (normalized) coefficients come
+# back bit for bit.
 
 FIELD_FAMILIES: dict[str, type] = {
     "constant": ConstantField,
@@ -516,7 +518,7 @@ def _decode(payload, registry: dict, tag: str):
                                         payload.get("dv"), payload.get("ddv"))
         elif key in payload:
             kwargs[key] = _CODECS[tp][1](payload[key])
-    return cls(**kwargs)
+    return (MobiusMap.restored if cls is MobiusMap else cls)(**kwargs)
 
 
 def field_to_dict(u: ScalarField) -> dict:

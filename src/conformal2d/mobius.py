@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,9 @@ from .geometry import Vec2, Orthogonal2
 
 POLE_GUARD = 1e-14
 CRITICAL_GUARD = 1e-6
+# normalized coefficients leave |ad - bc - 1| below about 3.2 eps (|ad| + |bc|)
+# (160,000 random, composed, inverted and badly scaled maps); this allows 16
+NORMALIZED_DET_TOL = 16.0 * sys.float_info.epsilon
 
 
 class MapJet(NamedTuple):
@@ -116,6 +120,22 @@ class MobiusMap(AnalyticMap):
             object.__setattr__(self, name, complex(w) / s)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def restored(cls, a, b, c, d, conjugating: bool = False) -> "MobiusMap":
+        """The map with stored coefficients, as a decoder rebuilds it.
+
+        Coefficients that are normalized already (ad - bc is 1 to within
+        the rounding normalization leaves) are kept bit for bit, where the
+        constructor would divide them by sqrt(ad - bc) again and move them
+        by an ulp; others are normalized as by the constructor.
+        """
+        m = cls(a, b, c, d, conjugating)
+        a, b, c, d = coeffs = tuple(map(complex, (a, b, c, d)))
+        if abs(a * d - b * c - 1.0) <= NORMALIZED_DET_TOL * (abs(a * d) + abs(b * c)):
+            for name, w in zip(("a", "b", "c", "d"), coeffs):
+                object.__setattr__(m, name, w)
+        return m
 
     @classmethod
     def identity(cls) -> "MobiusMap":

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._scipy import brentq
 from .errors import SeedError, StepFailure
 from .geometry import Vec2
 from .ops import VALUE_OVERFLOW, ConeIndex, SymmetricFunction, cone_margin

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
 
+from ._scipy import brentq, least_squares
 from .errors import DomainError, FitDiverged
 from .fields import Bubble, PullbackField, ScalarField, pullback
 from .geometry import Vec2
@@ -23,6 +24,7 @@ from .radial import minimize_on_circles
 
 SLACK_TOL_SCALE = 1e-9
 RHO_MIN_FACTOR = 1.0 + 1e-3
+_SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
 def ms_transform(u: ScalarField, x, lam: float) -> PullbackField:
@@ -144,8 +146,11 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
 
     Each distinct radius costs one slack_stats call per search: brentq's
     bracket ends and the polished radius are read back, and the bisection
-    also stops when lo and hi are adjacent doubles.  lam_max and tol must be
-    finite and positive (ValueError otherwise).
+    also stops when lo and hi are adjacent doubles.  The search for an
+    admissible radius halves lam_max at most 60 times, and stops sooner
+    where the nearest samples would round onto x; then it raises
+    DomainError.  lam_max and tol must be finite and positive (ValueError
+    otherwise).
     """
     if not (math.isfinite(lam_max) and lam_max > 0.0):
         raise ValueError("lam_max must be finite and positive")
@@ -168,15 +173,18 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     if top.admissible:
         return report(None, True, top.min_slack, None, None)
 
-    lo, lo_stats = lam_max, top
-    for _ in range(60):
+    lo, lo_stats, halvings = lam_max, top, 0
+    # a sample radius above rho_floor moves each sample off x, and |y - x|^2
+    # stays normal
+    rho_floor = max(math.ulp(xv.x1), math.ulp(xv.x2), _SQRT_TINY)
+    while not lo_stats.admissible:
+        if halvings == 60 or RHO_MIN_FACTOR * 0.5 * lo <= rho_floor:
+            raise DomainError("no admissible sphere radius found above "
+                              f"lam_max / 2^{halvings}")
         hi, hi_stats = lo, lo_stats
         lo *= 0.5
         lo_stats = stats(lo)
-        if lo_stats.admissible:
-            break
-    else:
-        raise DomainError("no admissible sphere radius found above lam_max / 2^60")
+        halvings += 1
 
     while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)

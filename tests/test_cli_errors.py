@@ -19,6 +19,16 @@ def test_moving_spheres_negative_lam_max_is_an_error(capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "lam_max" in err[0]
 
 
+# far samples at lam 4 overflow |e^z|^2; that slack is non-finite and fails closed
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("x, halvings", [("0.5,0", 55), ("3,0", 53)])
+def test_sphere_search_stops_before_samples_round_onto_x(capsys, x, halvings):
+    assert main(["moving-spheres", "--field", '{"family":"exp_example"}',
+                 "--x", x, "--lam-max", "4"]) == 2
+    assert stderr_lines(capsys) == [
+        f"error: no admissible sphere radius found above lam_max / 2^{halvings}"]
+
+
 def test_envelope_nan_eps_is_config_error(capsys):
     assert main(["envelope", "--eps", "nan"]) == 2
     err = stderr_lines(capsys)

@@ -1,12 +1,11 @@
 """Field and map serialization: one codec over the FIELD_FAMILIES and
 MAP_KINDS registries.
 
-Round trips must reproduce jets bit for bit (up to the re-normalization a
-MobiusMap constructor applies), the JSON of each family is pinned, and every
-field or map class the package defines is registered.
+Round trips must reproduce jets bit for bit, MobiusMap coefficients
+included, the JSON of each family is pinned, and every field or map class the
+package defines is registered.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -36,6 +35,7 @@ from conformal2d import (
     map_from_dict,
     map_to_dict,
     pullback,
+    random_mobius,
     standard_fields,
 )
 
@@ -85,18 +85,6 @@ def _jets(u: ScalarField) -> list:
     return out
 
 
-def _renormalized(obj):
-    """obj rebuilt through its constructors, as loading rebuilds it.
-
-    This is obj itself except in MobiusMap, whose constructor normalizes
-    ad - bc = 1 again; on coefficients normalized already that can move each
-    by an ulp, as it always has."""
-    if isinstance(obj, (ScalarField, AnalyticMap)):
-        return dataclasses.replace(obj, **{f.name: _renormalized(getattr(obj, f.name))
-                                           for f in dataclasses.fields(obj)})
-    return obj
-
-
 def test_field_round_trip_is_bit_identical():
     fields = _round_trip_fields()
     assert {type(u) for u in fields} == set(FIELD_FAMILIES.values())
@@ -104,8 +92,7 @@ def test_field_round_trip_is_bit_identical():
         d = field_to_dict(u)
         v = field_from_dict(_through_json(d))
         assert type(v) is type(u)
-        assert _jets(v) == _jets(_renormalized(u)), d["family"]
-        assert _jets(v) == _jets(u) or "mobius" in json.dumps(d), d["family"]
+        assert _jets(v) == _jets(u), d["family"]
 
 
 def test_composed_pullback_round_trips():
@@ -126,10 +113,40 @@ def test_map_round_trip_is_bit_identical():
         d = map_to_dict(m)
         m2 = map_from_dict(_through_json(d))
         assert type(m2) is type(m) and m2.conjugating == m.conjugating
-        got, want = [m2.jet(z) for z in zs], [m.jet(z) for z in zs]
-        assert got == [_renormalized(m).jet(z) for z in zs], d["kind"]
-        assert got == want or d["kind"] == "mobius", d["kind"]
-        np.testing.assert_allclose(np.array(got), np.array(want), rtol=1e-15, atol=0)
+        assert m2 == m, d["kind"]
+        assert [m2.jet(z) for z in zs] == [m.jet(z) for z in zs], d["kind"]
+
+
+# repr spells each float exactly, signed zeros included: equal reprs are equal bits
+def test_mobius_map_reloads_its_normalized_coefficients():
+    m = MobiusMap(1.1, 0.2, 0.1, 1.0)
+    assert repr(map_from_dict(_through_json(map_to_dict(m)))) == repr(m)
+
+
+def test_seeded_mobius_sweep_reloads_bit_for_bit():
+    rng = np.random.default_rng(20)
+    maps = [random_mobius(rng) for _ in range(200)]
+    maps += [compose(m1, m2) for m1, m2 in zip(maps, maps[1:])]
+    maps += [m.inverse() for m in maps[:200]]
+    assert 0 < sum(m.conjugating for m in maps) < len(maps)
+    for m in maps:
+        m2 = map_from_dict(_through_json(map_to_dict(m)))
+        assert repr(m2) == repr(m)
+
+
+def test_mobius_pullback_field_reloads_bit_for_bit():
+    u = pullback(Bubble(1.0, 8.0), MobiusMap(1.1, 0.2, 0.1, 1.0))
+    v = field_from_dict(_through_json(field_to_dict(u)))
+    assert repr(v) == repr(u)
+    assert _jets(v) == _jets(u)
+
+
+@pytest.mark.parametrize("coeffs", [(1.1, 0.2, 0.1, 1.0), (2.0, 0.0, 0.0, 2.0),
+                                    (0.0, 1j, 1j, 0.0), (3.0, 1.0, 1.0, 1.0)])
+def test_unnormalized_mobius_spec_loads_as_the_constructor_builds_it(coeffs):
+    spec = {"kind": "mobius", **{k: [w.real, w.imag] for k, w in
+                                 zip("abcd", map(complex, coeffs))}}
+    assert repr(map_from_dict(spec)) == repr(MobiusMap(*coeffs))
 
 
 MOBIUS_SHIFT = {"kind": "mobius", "a": [1.0, 0.0], "b": [0.5, 0.0],
