@@ -6,7 +6,6 @@ from .errors import (
     ConfigError,
     ConjugatingUnsupported,
     DomainError,
-    FitDiverged,
     PoleError,
     SeedError,
     StepFailure,

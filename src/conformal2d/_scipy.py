@@ -12,12 +12,6 @@ def brentq(*args, **kwargs):
     return brentq(*args, **kwargs)
 
 
-def least_squares(*args, **kwargs):
-    from scipy.optimize import least_squares
-
-    return least_squares(*args, **kwargs)
-
-
 def CubicSpline(*args, **kwargs):
     from scipy.interpolate import CubicSpline
 

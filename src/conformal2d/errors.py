@@ -29,9 +29,5 @@ class StepFailure(Conformal2dError):
     """Adaptive integration could not complete a step within tolerance."""
 
 
-class FitDiverged(Conformal2dError):
-    """Nonlinear fit ended far above its initial residual."""
-
-
 class ConfigError(Conformal2dError):
     """Malformed CLI or suite configuration."""

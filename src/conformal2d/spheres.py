@@ -1,5 +1,5 @@
 """Moving-spheres machinery: the Kelvin-type transform u_{x,lam}, the
-critical radius lambda_bar(x), and bubble detection by least squares.
+critical radius lambda_bar(x), and bubble detection by one linear solve.
 
 u_{x,lam}(y) = u(x + lam^2 (y-x)/|y-x|^2) - 4 ln(|y-x|/lam) coincides with
 the conformal pullback through the sphere inversion, since that map's
@@ -15,8 +15,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._scipy import brentq, least_squares
-from .errors import DomainError, FitDiverged
+from ._scipy import brentq
+from .errors import DomainError
 from .fields import Bubble, PullbackField, ScalarField, pullback
 from .geometry import Vec2
 from .mobius import MobiusMap
@@ -206,11 +206,11 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
 
 @dataclass(frozen=True)
 class BubbleFit:
-    """Least-squares fit of the two-parameter bubble family to field samples."""
+    """Bubble fitted to field samples; center is None where none is fitted."""
 
     a: float
     b: float
-    center: Vec2
+    center: Optional[Vec2]
     residual: float
     is_bubble: bool
 
@@ -221,52 +221,61 @@ class BubbleFit:
         return {
             "a": self.a,
             "b": self.b,
-            "center": [self.center.x1, self.center.x2],
+            "center": None if self.center is None else [self.center.x1, self.center.x2],
             "residual": self.residual,
             "is_bubble": self.is_bubble,
         }
 
 
-def _coords(samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    pts = [Vec2.of(s) for s in samples]
-    return np.array([p.x1 for p in pts]), np.array([p.x2 for p in pts])
+def _q_design(u: ScalarField, samples: Sequence, mean=None) -> tuple:
+    """q = e^{-u/2} at the samples (NaN unless a finite normal float), the
+    columns |d|^2, d1, d2, 1 in d = x - mean, and mean (default: theirs)."""
+    x1, x2 = np.array([(p.x1, p.x2) for p in map(Vec2.of, samples)]).T
+    with np.errstate(over="ignore", under="ignore"):
+        q = np.exp(-0.5 * u.values(x1, x2))
+    q[~((q >= sys.float_info.min) & (q < math.inf))] = math.nan
+    mean = np.array([x1.mean(), x2.mean()]) if mean is None else mean
+    d1, d2 = x1 - mean[0], x2 - mean[1]
+    return q, np.stack([d1 * d1 + d2 * d2, d1, d2, np.ones_like(d1)], axis=1), mean
 
 
 def bubble_fit(u: ScalarField, samples: Sequence, validation: Sequence | None = None,
                threshold: float = 1e-6) -> BubbleFit:
-    """Fit u(x) = 2 ln(8a) - 2 ln(8|x - c|^2 + b) over (ln a, ln b, c).
+    """Fit u(x) = 2 ln(8a) - 2 ln(8|x - c|^2 + b) by one linear solve.
 
-    Positivity of a and b is enforced by the log parametrization; the
-    Levenberg-Marquardt driver supplies the damping.  The residual is the
-    sup-norm over the validation set (the fit samples by default).
+    A bubble's q = e^{-u/2} = (8|x - c|^2 + b) / (8a) is the quadratic
+    alpha |d|^2 + beta . d + gamma in d = x - mean(samples).  Rows scaled by
+    1/q make the least-squares misfit ((q_hat - q) / q)^2, half the misfit in
+    u to first order.  Then a = 1/alpha, c - mean = -beta / (2 alpha) and
+    b = 8 a gamma - 8 |c - mean|^2, which the centring keeps well conditioned.
+    residual is the largest 2 |q_hat / q - 1| over the validation set (the
+    fit samples by default), |u - u_hat| to first order; is_bubble needs
+    alpha > 0, b > 0 and residual <= threshold.  Fewer than 4 samples, or
+    samples on one circle or line, raise ValueError.  A non-finite u, or a q
+    that over- or underflows, gives a NaN residual; in the fit samples, NaN a, b.
     """
-    px, py = _coords(samples)
-    if px.size < 4:
+    if len(samples) < 4:
         raise ValueError("need at least 4 samples")
-    vals = u.values(px, py)
-
-    jmax = int(np.argmax(vals))
-    theta0 = np.array([0.5 * vals[jmax], math.log(8.0), px[jmax], py[jmax]])
-
-    def model(theta: np.ndarray) -> np.ndarray:
-        ln_a, ln_b, cx, cy = theta
-        s = 8.0 * ((px - cx) ** 2 + (py - cy) ** 2) + math.exp(ln_b)
-        return 2.0 * (math.log(8.0) + ln_a) - 2.0 * np.log(s)
-
-    def resid(theta: np.ndarray) -> np.ndarray:
-        return model(theta) - vals
-
-    initial_sup = float(np.abs(resid(theta0)).max())
-    sol = least_squares(resid, theta0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    a, b = math.exp(sol.x[0]), math.exp(sol.x[1])
-    center = Vec2(float(sol.x[2]), float(sol.x[3]))
-
-    fit = Bubble(a, b, center)
-    qx, qy = (px, py) if validation is None else _coords(validation)
-    residual = float(np.abs(u.values(qx, qy) - fit.values(qx, qy)).max())
-    if residual > 1e3 * max(initial_sup, 1e-12):
-        raise FitDiverged(f"fit residual {residual:.3e} vs initial {initial_sup:.3e}")
-    return BubbleFit(a, b, center, residual, residual <= threshold)
+    q, design, mean = _q_design(u, samples)
+    if np.linalg.matrix_rank(design) < 4:
+        raise ValueError("samples on one circle or line do not determine a bubble")
+    if np.isnan(q).any():
+        return BubbleFit(math.nan, math.nan, None, math.nan, False)
+    # QR, then one refinement step, which takes the solve's roundoff out of a, b, c
+    weighted, ones = design / q[:, None], np.ones_like(q)
+    qmat, rmat = np.linalg.qr(weighted)
+    coef = np.linalg.solve(rmat, qmat.T @ ones)
+    coef += np.linalg.solve(rmat, qmat.T @ (ones - weighted @ coef))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = 1.0 / coef[0]
+        offset = -0.5 * coef[1:3] / coef[0]  # c - mean
+        b = 8.0 * a * coef[3] - 8.0 * (offset @ offset)
+        c = mean + offset
+    if validation is not None:
+        q, design, _ = _q_design(u, validation, mean)
+    residual = float(np.max(2.0 * np.abs(design @ coef / q - 1.0)))
+    return BubbleFit(float(a), float(b), Vec2.of(c) if np.isfinite(c).all() else None,
+                     residual, bool(coef[0] > 0.0 and b > 0.0 and residual <= threshold))
 
 
 class AlphaEstimate(NamedTuple):

@@ -89,8 +89,7 @@ def seeded_cubic(rng: np.random.Generator, box: float = 1.2,
             0.05 * complex(rng.normal(), rng.normal()),
         ]
         f = PolynomialMap(coeffs)
-        d1 = min(abs(f.jet(complex(x, y)).d1) for x in xs for y in xs)
-        if d1 >= d1_min:
+        if np.abs(f.values_d1(xs[:, None] + 1j * xs)[1]).min() >= d1_min:
             return f
 
 

@@ -54,6 +54,23 @@ def test_import_leaves_scipy_submodules_unloaded_until_first_call():
     assert loaded["RadialField"] == list(LAZY)
 
 
+FIT_ONLY = f"""
+import json, sys
+from conformal2d import Bubble, bubble_fit
+
+fit = bubble_fit(Bubble(1.0, 8.0), [(0.1 * k, 0.05 * k * k) for k in range(8)])
+print(json.dumps({{"is_bubble": fit.is_bubble,
+                  "loaded": [m for m in {LAZY!r} if m in sys.modules]}}))
+"""
+
+
+def test_bubble_fit_loads_no_scipy_submodule():
+    proc = _run("-c", FIT_ONLY)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out == {"is_bubble": True, "loaded": []}
+
+
 def _count_brentq(monkeypatch) -> list:
     calls = []
 

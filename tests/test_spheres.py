@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal2d import (
     Bubble,
@@ -26,6 +28,8 @@ from conformal2d import (
     pullback,
     slack_stats,
 )
+import conformal2d.suites as suites
+from conformal2d.invariance import annulus_points
 from conformal2d.spheres import RHO_MIN_FACTOR, SLACK_TOL_SCALE
 
 B = Bubble(1.0, 8.0)  # critical radius at the center is sqrt(b/8) = 1
@@ -187,6 +191,100 @@ def test_bubble_fit_nan_validation_is_not_a_bubble():
                      validation=ring((0.0, 0.0), (1.0, 3.0)))
     assert math.isnan(fit.residual)
     assert not fit.is_bubble
+
+
+@given(st.floats(0.2, 5.0), st.floats(0.5, 50.0), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0), st.integers(0, 2**32 - 1), st.integers(6, 40),
+       st.floats(0.1, 1.0), st.floats(0.5, 3.0))
+@settings(max_examples=200, deadline=None)
+def test_bubble_fit_recovers_bubbles_on_annulus_clouds(a, b, c1, c2, seed, n, r_in, width):
+    pts = annulus_points(np.random.default_rng(seed), n, r_in, r_in + width)
+    fit = bubble_fit(Bubble(a, b, Vec2(c1, c2)), pts)
+    assert fit.is_bubble
+    assert fit.a == pytest.approx(a, rel=1e-9)
+    assert fit.b == pytest.approx(b, rel=1e-9)
+    scale = max(1.0, math.hypot(c1, c2))
+    assert abs(fit.center.x1 - c1) <= 1e-9 * scale
+    assert abs(fit.center.x2 - c2) <= 1e-9 * scale
+
+
+def test_bubble_fit_rejects_samples_on_one_circle_or_line():
+    with pytest.raises(ValueError):
+        bubble_fit(B, ring((0.3, -0.2), (1.5,), n=12))
+    with pytest.raises(ValueError):
+        bubble_fit(B, [(0.1 * k, 0.2 * k - 0.5) for k in range(8)])
+    with pytest.raises(ValueError):
+        bubble_fit(B, [(0.5, 0.5)] * 6)
+
+
+class NanAt(ScalarField):
+    """Unit bubble with the value ``bad`` at one point."""
+
+    def __init__(self, at: Vec2, bad: float):
+        self.at, self.bad = at, bad
+
+    def value(self, x) -> float:
+        p = Vec2.of(x)
+        return self.bad if p == self.at else B.value(p)
+
+
+RINGS = ring((0.0, 0.0), (0.5, 1.0, 2.0))
+
+
+# a non-finite value at one sample; a q = e^{-u/2} that underflows or overflows
+@pytest.mark.parametrize("u", [NanAt(RINGS[-1], math.nan), NanAt(RINGS[-1], math.inf),
+                               NanAt(RINGS[-1], -math.inf), ConstantField(2000.0),
+                               ConstantField(-2000.0)])
+def test_bubble_fit_unusable_fit_sample_is_not_a_bubble(u):
+    fit = bubble_fit(u, RINGS)
+    assert math.isnan(fit.residual) and math.isnan(fit.a) and math.isnan(fit.b)
+    assert fit.center is None and not fit.is_bubble
+    assert json.loads(json.dumps(fit.to_dict()))["center"] is None
+
+
+class InvertedBowl(ScalarField):
+    """u = -2 ln(10 - |x|^2): q = e^{-u/2} is a quadratic with alpha = -1."""
+
+    def values(self, x1, x2):
+        return -2.0 * np.log(10.0 - x1 * x1 - x2 * x2)
+
+
+def test_bubble_fit_needs_positive_alpha_and_b():
+    # q is fitted exactly, but it opens downward: no bubble
+    fit = bubble_fit(InvertedBowl(), RINGS)
+    assert fit.residual < 1e-12
+    assert fit.a < 0.0 and not fit.is_bubble
+    # an upward q with a negative minimum: b < 0
+    nfit = bubble_fit(exp_example(), annulus_points(np.random.default_rng(3), 24, 0.2, 2.5))
+    assert nfit.a > 0.0 and nfit.b < 0.0
+    assert math.isfinite(nfit.residual) and not nfit.is_bubble
+
+
+class OneUlpUp(ScalarField):
+    """A field's values with the k-th of a 24-point batch raised by one ulp."""
+
+    def __init__(self, base: ScalarField, k: int):
+        self.base, self.k = base, k
+
+    def values(self, x1, x2):
+        v = np.array(self.base.values(x1, x2), dtype=float)
+        if v.size == 24:
+            v[self.k] = np.nextafter(v[self.k], math.inf)
+        return v
+
+
+def test_nonbubble_residual_is_well_conditioned(monkeypatch):
+    # the samples of the spheres suite's spheres-fit-rejects-nonbubble row
+    fitted = []
+    monkeypatch.setattr(suites, "bubble_fit",
+                        lambda u, pts, **kw: fitted.append(pts) or bubble_fit(u, pts, **kw))
+    suites.spheres_suite(seed=1234)
+    pts = fitted[-1]
+    assert len(pts) == 24
+    base = bubble_fit(exp_example(), pts).residual
+    for k in range(24):
+        moved = bubble_fit(OneUlpUp(exp_example(), k), pts).residual
+        assert abs(moved - base) < 1e-12 * base
 
 
 def test_estimate_alpha_on_bubbles():
