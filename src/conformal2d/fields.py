@@ -166,9 +166,25 @@ class Bubble(ScalarField):
 
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
-        d1, d2 = x1 - self.x0.x1, x2 - self.x0.x2
-        s = 8.0 * (d1 * d1 + d2 * d2) + self.b
-        return 2.0 * math.log(8.0 * self.a) - 2.0 * np.log(s)
+        # in place, in the order of 2 ln(8 a) - 2 ln(8 (d1 d1 + d2 d2) + b)
+        d = np.empty((2,) + x1.shape)
+        s, t = d[0, ...], d[1, ...]
+        np.subtract(x1, self.x0.x1, out=s)
+        np.subtract(x2, self.x0.x2, out=t)
+        with np.errstate(over="ignore"):
+            np.multiply(d, d, out=d)
+            np.add(s, t, out=s)
+            np.multiply(s, 8.0, out=s)
+            np.add(s, self.b, out=s)
+        overflowed = s.max(initial=0.0) == math.inf  # one reduction per call
+        np.log(s, out=s)
+        if overflowed:
+            # where 8 |d|^2 overflows: ln 8 + 2 ln |d| + log1p(b / (8 |d|^2))
+            far = np.isinf(s)
+            h = np.hypot(x1[far] - self.x0.x1, x2[far] - self.x0.x2)
+            s[far] = math.log(8.0) + 2.0 * np.log(h) + np.log1p(self.b / 8.0 / h / h)
+        np.multiply(s, 2.0, out=s)
+        return np.subtract(2.0 * math.log(8.0 * self.a), s, out=s)
 
     def radial_value(self, r: float) -> float:
         return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(8.0 * r * r + self.b)
@@ -362,11 +378,17 @@ class PullbackField(ScalarField):
 
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
-        w, d1 = self.map.values_d1(x1 + 1j * x2)
-        ad1 = np.abs(d1)
-        if (ad1 < VANISHING_DERIVATIVE).any():
+        z = np.multiply(1j, x2)
+        np.add(z, x1, out=z)
+        # d1 may be w itself (e^z), and base may be a user field: neither
+        # is written into
+        w, d1 = self.map.values_d1(z)
+        log_jac = np.abs(d1)
+        if (log_jac < VANISHING_DERIVATIVE).any():
             raise DomainError("vanishing derivative in pullback")
-        return self.base.values(w.real, w.imag) + 2.0 * np.log(ad1)
+        np.log(log_jac, out=log_jac)
+        np.multiply(log_jac, 2.0, out=log_jac)
+        return np.add(self.base.values(w.real, w.imag), log_jac, out=log_jac)
 
 
 def pullback(u: ScalarField, psi: AnalyticMap) -> PullbackField:

@@ -22,8 +22,11 @@ def _require_finite(*values: float) -> None:
 
 def finite_coords(x1, x2) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate arrays broadcast to one float shape; like Vec2, rejects
-    non-finite entries."""
-    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    non-finite entries.  The results may be the caller's arrays: read them,
+    never write into them."""
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    if x1.shape != x2.shape:
+        x1, x2 = np.broadcast_arrays(x1, x2)
     if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
         raise ValueError("non-finite coordinate entry")
     return x1, x2

@@ -205,10 +205,16 @@ class MobiusMap(AnalyticMap):
         zz = np.asarray(z, dtype=complex)
         if self.conjugating:
             zz = zz.conjugate()
-        den = self.c * zz + self.d
+        # in place, in the order of (a zz + b) / den and 1 / (den den)
+        den = np.multiply(self.c, zz)
+        np.add(den, self.d, out=den)
         if (np.abs(den) < POLE_GUARD).any():
             raise PoleError(f"evaluation within {POLE_GUARD} of pole")
-        return (self.a * zz + self.b) / den, 1.0 / (den * den)
+        w = np.multiply(self.a, zz)
+        np.add(w, self.b, out=w)
+        np.divide(w, den, out=w)
+        np.multiply(den, den, out=den)
+        return w, np.divide(1.0, den, out=den)
 
     # -- group structure -------------------------------------------------
 

@@ -24,6 +24,11 @@ from .radial import minimize_on_circles
 
 SLACK_TOL_SCALE = 1e-9
 RHO_MIN_FACTOR = 1.0 + 1e-3
+# |min_slack| up to this is zero to roundoff: a bubble's slack at its
+# critical radius reads about 1e-15.  Below lambda_bar, min_slack is small
+# (about 1e-3 of its slope above), so a polish bracket end this close to
+# zero would steer brentq's interpolation by roundoff alone.
+SLACK_ROUNDOFF = 1e-12
 _SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
@@ -35,9 +40,12 @@ def ms_transform(u: ScalarField, x, lam: float) -> PullbackField:
 
 
 def _kelvin(x: Vec2, lam: float, y1: np.ndarray, y2: np.ndarray,
-            out: Sequence[np.ndarray]) -> np.ndarray:
-    """Write the images x + lam^2 (y-x)/|y-x|^2 into out[0], out[1] and
-    return the log-Jacobian term 2 ln(|y-x|^2 / lam^2) of u_{x,lam}."""
+            out: Sequence[np.ndarray]) -> None:
+    """Write the images x + lam^2 (y-x)/|y-x|^2 into out[0], out[1] and the
+    log-Jacobian term 2 ln(|y-x|^2 / lam^2) of u_{x,lam} into out[2].
+
+    The intermediates are temporaries: on a 48 x 64 grid, forming them in
+    place in the output rows measured no faster, and on one point slower."""
     d1, d2 = y1 - x.x1, y2 - x.x2
     rho2 = d1 * d1 + d2 * d2
     if (rho2 == 0.0).any():
@@ -45,14 +53,14 @@ def _kelvin(x: Vec2, lam: float, y1: np.ndarray, y2: np.ndarray,
     scale = lam * lam / rho2
     np.add(x.x1, scale * d1, out=out[0])
     np.add(x.x2, scale * d2, out=out[1])
-    return 2.0 * np.log(rho2 / (lam * lam))
+    np.multiply(2.0, np.log(rho2 / (lam * lam)), out=out[2])
 
 
 def ms_value(u: ScalarField, x, lam: float, y) -> float:
     """Value-only evaluation of u_{x,lam}(y), cheaper than a jet."""
-    yv, img = Vec2.of(y), np.empty((2, 1))
-    jac = _kelvin(Vec2.of(x), lam, np.array([yv.x1]), np.array([yv.x2]), img)
-    return float(u.values(img[0], img[1])[0] - jac[0])
+    yv, buf = Vec2.of(y), np.empty((3, 1))
+    _kelvin(Vec2.of(x), lam, np.array([yv.x1]), np.array([yv.x2]), buf)
+    return float(u.values(buf[0], buf[1])[0] - buf[2, 0])
 
 
 class SlackStats(NamedTuple):
@@ -70,6 +78,28 @@ def _stencil(n_angles: int) -> tuple[np.ndarray, np.ndarray]:
     return cos, sin
 
 
+@functools.lru_cache(maxsize=8)
+def _ramp(n: int) -> np.ndarray:
+    """Read-only 0.0, 1.0, ..., n - 1 as an (n, 1) column."""
+    ramp = np.arange(float(n))[:, None]
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _log_radii(start: float, stop: float, n: int) -> np.ndarray:
+    """np.geomspace(start, stop, n)[:, None] for positive start and stop,
+    bit for bit: the same log10 endpoints, step and power of ten."""
+    lo, hi = np.log10(start), np.log10(stop)
+    radii = np.multiply(_ramp(n), (hi - lo) / max(n - 1, 1))
+    np.add(radii, lo, out=radii)
+    # slices keep n = 0 and n = 1 as geomspace has them: empty, and [start]
+    radii[-1:] = hi
+    np.power(10.0, radii, out=radii)
+    radii[-1:] = stop
+    radii[:1] = start
+    return radii
+
+
 def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
                 n_angles: int = 64, r_out: float | None = None) -> SlackStats:
     """Statistics of slack(y) = u(y) - u_{x,lam}(y) over |y - x| >= lam.
@@ -81,22 +111,40 @@ def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
     so an exception from either half propagates.  Non-finite slack anywhere,
     in either half, fails closed: the radius is inadmissible and min_slack
     is NaN.
+
+    Buffers and ownership: the samples, the images, the log-Jacobian term
+    and one scratch grid share one array that this call allocates, and the
+    slack and its bounds are formed in place in it.  u.values is handed
+    views of that array and must not keep them; its result is read and never
+    written, so a read-only or shared result is fine.
     """
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
     xv = Vec2.of(x)
     if r_out is None:
         r_out = max(100.0, 10.0 * lam)
-    radii = np.geomspace(RHO_MIN_FACTOR * lam, r_out, n_radii)[:, None]
+    radii = _log_radii(RHO_MIN_FACTOR * lam, r_out, n_radii)
     cos, sin = _stencil(n_angles)
-    # p1[0], p2[0]: the samples y; p1[1], p2[1]: their images
-    p1, p2 = np.empty((2, 2, n_radii, n_angles))
-    np.add(xv.x1, radii * cos, out=p1[0])
-    np.add(xv.x2, radii * sin, out=p2[0])
-    jac = _kelvin(xv, lam, p1[0], p2[0], (p1[1], p2[1]))
-    uy, u_img = u.values(p1, p2)
-    slack = uy - (u_img - jac)
-    max_abs = float(np.abs(slack).max())
+    # rows: sample x1, image x1, sample x2, image x2, log-Jacobian, scratch
+    buf = np.empty((6, n_radii, n_angles))
+    y1, img1, y2, img2, slack, scratch = buf
+    np.multiply(radii, cos, out=y1)
+    np.add(y1, xv.x1, out=y1)
+    np.multiply(radii, sin, out=y2)
+    np.add(y2, xv.x2, out=y2)
+    _kelvin(xv, lam, y1, y2, (img1, img2, slack))
+    uy, u_img = u.values(buf[0:2], buf[2:4])
+    # slack = uy - (u_img - jac), formed in the log-Jacobian row
+    np.subtract(u_img, slack, out=slack)
+    np.subtract(uy, slack, out=slack)
+    max_abs = float(np.abs(slack, out=scratch).max())
     finite = math.isfinite(max_abs)  # NaN and +-inf in slack both reach it
-    admissible = finite and bool((slack >= -SLACK_TOL_SCALE * (1.0 + np.abs(uy))).all())
+    if finite:
+        # the allowance -1e-9 (1 + |uy|)
+        np.abs(uy, out=scratch)
+        np.add(scratch, 1.0, out=scratch)
+        np.multiply(scratch, -SLACK_TOL_SCALE, out=scratch)
+    admissible = finite and bool((slack >= scratch).all())
     min_slack = float(slack.min()) if finite else math.nan
     return SlackStats(min_slack, max_abs, admissible)
 
@@ -132,6 +180,21 @@ class MovingSphereReport:
         }
 
 
+def _polish_bracket(memo: dict) -> Optional[tuple[float, float]]:
+    """The tightest neighbouring radii a < b with min_slack(a) > 0 >
+    min_slack(b), among the radii evaluated whose min_slack is clear of
+    roundoff (beyond SLACK_ROUNDOFF); None if there is none.
+
+    When lo's min_slack is positive this is the bisection bracket (lo, hi).
+    A bracket narrower than the 1e-9 (1 + |u|) allowance leaves lo admissible
+    with a negative min_slack, and the sign change then lies below lo.
+    """
+    lams = [lam for lam in sorted(memo) if not abs(memo[lam].min_slack) <= SLACK_ROUNDOFF]
+    pairs = [(a, b) for a, b in zip(lams, lams[1:])
+             if memo[a].min_slack > 0.0 > memo[b].min_slack]
+    return min(pairs, key=lambda ab: ab[1] - ab[0], default=None)
+
+
 def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
                     n_radii: int = 48, n_angles: int = 64) -> MovingSphereReport:
     """Bisection for lambda_bar(x) = sup of admissible sphere radii.
@@ -140,9 +203,11 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     every sample.  If lam_max itself is admissible the report carries the
     unbounded flag.  Otherwise the bisection bracket is tightened to
     relative width tol, then the touching radius is polished by root-finding
-    the (signed, smooth-through-zero) minimum slack across the bracket; the
-    equality residual is the sup-norm of the slack at the polished radius
-    and lands far below the bisection tolerance when u is a bubble.
+    the (signed, smooth-through-zero) minimum slack across the tightest sign
+    change among the radii evaluated (the bisection bracket, unless that is
+    narrower than the slack allowance); the equality residual is the
+    sup-norm of the slack at the polished radius and lands far below the
+    bisection tolerance when u is a bubble.
 
     Each distinct radius costs one slack_stats call per search: brentq's
     bracket ends and the polished radius are read back, and the bisection
@@ -181,7 +246,7 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
         if halvings == 60 or RHO_MIN_FACTOR * 0.5 * lo <= rho_floor:
             raise DomainError("no admissible sphere radius found above "
                               f"lam_max / 2^{halvings}")
-        hi, hi_stats = lo, lo_stats
+        hi = lo
         lo *= 0.5
         lo_stats = stats(lo)
         halvings += 1
@@ -194,12 +259,15 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
         if st.admissible:
             lo, lo_stats = mid, st
         else:
-            hi, hi_stats = mid, st
+            hi = mid
 
     lam_bar = lo
-    if lo_stats.min_slack > 0.0 > hi_stats.min_slack:
-        lam_bar = float(brentq(lambda lam: stats(lam).min_slack, lo, hi,
-                               xtol=1e-14 * lo))
+    # a min_slack at lo that is zero to roundoff, or below zero by no more,
+    # makes lo the touching radius already
+    polish = None if -SLACK_ROUNDOFF <= lo_stats.min_slack <= 0.0 else _polish_bracket(memo)
+    if polish is not None:
+        a, b = polish
+        lam_bar = float(brentq(lambda lam: stats(lam).min_slack, a, b, xtol=1e-14 * a))
     equality_residual = stats(lam_bar).max_abs_slack
     return report(lam_bar, False, lo_stats.min_slack, equality_residual, (lo, hi))
 

@@ -2,6 +2,7 @@
 in every subcommand, so that exit code 1 means only "a check failed"."""
 
 import json
+import warnings
 
 import pytest
 
@@ -67,3 +68,14 @@ def test_moving_spheres_accepts_composed_map_spec(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["field"] == spec
     assert payload["report"]["unbounded"] is False
+
+
+def test_exp_example_search_raises_no_runtime_warning(capsys):
+    # the sample grid reaches x1 = 640, where |e^z|^2 overflows; the values
+    # stay finite, and the search ends in its own message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["moving-spheres", "--field", '{"family":"exp_example"}', "--x", "0,0"])
+    assert code == 2
+    err = stderr_lines(capsys)
+    assert len(err) == 1 and "no admissible sphere radius" in err[0]

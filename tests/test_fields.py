@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,3 +385,32 @@ def test_scalar_field_is_the_only_value_definition():
               and any(isinstance(f, ast.FunctionDef) and f.name == "value"
                       for f in node.body)]
     assert owners == ["ScalarField"]
+
+
+# -- Bubble.values where 8 |x - x0|^2 overflows ----------------------------------
+
+
+@pytest.mark.parametrize("x1", [356.0, 500.0, 700.0])
+def test_liouville_exp_values_stay_finite_where_the_square_overflows(x1):
+    # ln(8 e^{2 x1} / (1 + e^{2 x1})^2), written so that nothing overflows
+    want = math.log(8.0) - 2.0 * x1 - 2.0 * math.log1p(math.exp(-2.0 * x1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = exp_example().values(np.array([x1, 0.0]), np.array([0.0, 0.0]))
+    assert got[0] == pytest.approx(want, rel=1e-12)
+    # the sample that does not overflow keeps its bits
+    assert got[1] == exp_example().values(np.array([0.0]), np.array([0.0]))[0]
+
+
+def test_bubble_values_far_branch_leaves_other_samples_bit_for_bit():
+    u = Bubble(1.3, 12.0, Vec2(0.2, -0.1))
+    near = np.array([0.3, -4.0, 1e150])
+    far = np.array([0.3, -4.0, 1e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got_far = u.values(far, np.zeros(3))
+    got_near = u.values(near, np.zeros(3))
+    assert got_far[:2].tobytes() == got_near[:2].tobytes()
+    d = 1e160 - 0.2
+    want = 2.0 * math.log(8.0 * 1.3) - 2.0 * (math.log(8.0) + 2.0 * math.log(math.hypot(d, 0.1)))
+    assert got_far[2] == pytest.approx(want, rel=1e-15)

@@ -288,3 +288,16 @@ def test_exception_on_image_points_propagates():
         slack_stats(u, u.base, 0.8, n_radii=12, n_angles=8)
     with pytest.raises(ImageOnlyError, match="image point"):
         critical_lambda(u, u.base, lam_max=4.0, n_radii=12, n_angles=8)
+
+
+# -- a tighter tol never gives a worse radius ------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["center_0.1"] + sorted(
+    k for k in SEARCH_CASES if k.startswith("bubble_off")))
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9, 1e-12, 1e-300])
+def test_lambda_bar_is_the_closed_form_at_every_tol(name, tol):
+    u, x = (B, Vec2(0.1, 0.0)) if name == "center_0.1" else SEARCH_CASES[name]
+    rep = critical_lambda(u, x, lam_max=64.0, tol=tol)
+    want = math.hypot(x.x1 - u.x0.x1, x.x2 - u.x0.x2, math.sqrt(u.b / 8.0))
+    assert abs(rep.lambda_bar - want) <= 1e-11 * rep.lambda_bar
