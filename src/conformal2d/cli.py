@@ -34,6 +34,9 @@ from .spheres import critical_lambda, slack_stats
 from .suites import SUITES, run_suites
 
 SCHEMA = "conformal2d/1"
+# largest --grid node count, checked before anything is allocated: 50 times
+# the largest grid in the README and the tests
+GRID_MAX_NODES = 1_000_000
 # numerical failures: exit 2 with one "error:" line, never exit 1
 _ERRORS = (Conformal2dError, ArithmeticError, ValueError)
 
@@ -140,6 +143,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"grid must be r0:r1:n with numeric parts, got {text!r}")
     if not (math.isfinite(r0) and math.isfinite(r1)) or r1 <= r0 or n < 2:
         raise ConfigError("grid requires finite r1 > r0 and n >= 2")
+    if n > GRID_MAX_NODES:
+        raise ConfigError(f"grid n = {n} exceeds the cap of {GRID_MAX_NODES} nodes")
     return r0, r1, n
 
 

@@ -281,6 +281,10 @@ def check_monotone_4log(p: RadialProfile, k0: float = 0.0,
 
 @dataclass(frozen=True)
 class SolveConfig:
+    """Solver settings.  rtol, atol, h_init and h_max must be finite and
+    positive (a NaN tolerance rejects every step, an infinite one accepts
+    every step), and n_out at least 2."""
+
     rtol: float = 1e-8
     atol: float = 1e-11
     n_out: int = 501
@@ -288,6 +292,14 @@ class SolveConfig:
     h_init: float = 1e-3
     h_max: float = 0.25
     root_residual_max: float = 1e-11
+
+    def __post_init__(self) -> None:
+        for name in ("rtol", "atol", "h_init", "h_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not self.n_out >= 2:
+            raise ValueError(f"n_out must be at least 2, got {self.n_out!r}")
 
 
 @dataclass
@@ -350,55 +362,71 @@ def _diagonal_seed(f: SymmetricFunction) -> float:
     return float(brentq(fun, lo, hi, xtol=1e-15))
 
 
+def _section_rule(cone: ConeIndex) -> Callable[[float], Optional[float]]:
+    """lambda2 -> infimum of lambda1 over the cone section at fixed lambda2,
+    or None when the section is empty."""
+    s = cone.p - 2.0
+    if cone.p == 2.0:
+        return lambda lam2: None if lam2 <= 0.0 else 0.0
+    return lambda lam2: max(s * lam2, lam2 / s)
+
+
 def _lambda1_section_min(lam2: float, cone: ConeIndex) -> Optional[float]:
     """Infimum of lambda1 over the cone section at fixed lambda2, or None
     when the section is empty."""
-    s = cone.p - 2.0
-    if cone.p == 2.0:
-        if lam2 <= 0.0:
-            return None
-        return 0.0
-    return max(s * lam2, lam2 / s)
+    return _section_rule(cone)(lam2)
 
 
-def _solve_lambda1(f: SymmetricFunction, cone: ConeIndex, lam2: float,
-                   r: float, cfg: SolveConfig) -> tuple[float, float]:
-    """Solve f(lambda1, lam2) = 1 for lambda1 within the cone section.
+def _lambda1_solver(f: SymmetricFunction, cone: ConeIndex,
+                    cfg: SolveConfig) -> Callable[[float, float], tuple[float, float]]:
+    """``solve(lam2, r)``: f(lambda1, lam2) = 1 solved for lambda1 within the
+    cone section, returning (lambda1, residual).
 
     Uses f's closed form when it has one and brentq otherwise.  Raises
     _ConeExitSignal when no in-cone root exists (section empty or f already
     >= 1 on its lower edge) and StepFailure when the bracket cannot be
     expanded to a sign change, lam2 is NaN or the root misses the residual
-    bound.
+    bound.  Built once per solve, so that a right-hand side evaluation
+    reads f, the section rule and the bound from closure cells.
     """
-    if lam2 != lam2:
-        raise StepFailure(f"lambda2 is NaN at r = {r:.6g}")
-    lo = _lambda1_section_min(lam2, cone)
-    if lo is None:
-        raise _ConeExitSignal(r)
+    fn, closed, section_min = f.fn, f.lambda1, _section_rule(cone)
+    residual_max = cfg.root_residual_max
 
-    fn = f.fn
-    if fn(lo, lam2) - 1.0 >= 0.0:
-        raise _ConeExitSignal(r)
-    if f.lambda1 is not None:
-        lam1 = f.lambda1(lam2)
-    else:
+    def solve(lam2: float, r: float) -> tuple[float, float]:
+        if lam2 != lam2:
+            raise StepFailure(f"lambda2 is NaN at r = {r:.6g}")
+        lo = section_min(lam2)
+        if lo is None:
+            raise _ConeExitSignal(r)
+        if fn(lo, lam2) - 1.0 >= 0.0:
+            raise _ConeExitSignal(r)
+        if closed is not None:
+            lam1 = closed(lam2)
+        else:
 
-        def fun(t: float) -> float:
-            return fn(t, lam2) - 1.0
+            def fun(t: float) -> float:
+                return fn(t, lam2) - 1.0
 
-        hi = max(lam2 + 2.0 * max(1.0, abs(lam2)), lo + 1.0)
-        tries = 0
-        while fun(hi) <= 0.0:
-            hi = lo + 2.0 * (hi - lo)
-            tries += 1
-            if tries > 200:
-                raise StepFailure(f"lambda1 bracket expansion failed at r = {r:.6g}")
-        lam1 = float(brentq(fun, lo, hi, xtol=1e-15))
-    residual = abs(fn(lam1, lam2) - 1.0)
-    if not residual <= cfg.root_residual_max:
-        raise StepFailure(f"lambda1 residual {residual:.3e} at r = {r:.6g}")
-    return lam1, residual
+            hi = max(lam2 + 2.0 * max(1.0, abs(lam2)), lo + 1.0)
+            tries = 0
+            while fun(hi) <= 0.0:
+                hi = lo + 2.0 * (hi - lo)
+                tries += 1
+                if tries > 200:
+                    raise StepFailure(f"lambda1 bracket expansion failed at r = {r:.6g}")
+            lam1 = float(brentq(fun, lo, hi, xtol=1e-15))
+        residual = abs(fn(lam1, lam2) - 1.0)
+        if not residual <= residual_max:
+            raise StepFailure(f"lambda1 residual {residual:.3e} at r = {r:.6g}")
+        return lam1, residual
+
+    return solve
+
+
+def _solve_lambda1(f: SymmetricFunction, cone: ConeIndex, lam2: float,
+                   r: float, cfg: SolveConfig) -> tuple[float, float]:
+    """One call of a fresh ``_lambda1_solver(f, cone, cfg)``."""
+    return _lambda1_solver(f, cone, cfg)(lam2, r)
 
 
 def _integrate_to_nodes(rhs, r0: float, v0: float, w0: float, nodes,
@@ -411,8 +439,12 @@ def _integrate_to_nodes(rhs, r0: float, v0: float, w0: float, nodes,
     section II.5): stage 7 of an accepted step is evaluated at the new state
     and becomes stage 1 of the next step, and a rejected step keeps its
     stage 1, so an attempt costs six evaluations.  Every stage and weight sum
-    is written out as sum() rounds it: left to right from 0, zero weights
-    kept.  ``counts`` is filled in even when an exception ends the march.
+    is written out as sum() rounds it: left to right, zero weights kept,
+    from 0.0 rather than sum()'s int 0 (the same double, -0.0 included,
+    without the slower int-plus-float path).  The step-size and error-norm
+    lines compare instead of calling min() and max(), and each comparison
+    returns the operand min() or max() would, NaN included.  ``counts`` is
+    filled in even when an exception ends the march.
     """
     r, v, w = r0, v0, w0
     h_next = cfg.h_init
@@ -421,68 +453,81 @@ def _integrate_to_nodes(rhs, r0: float, v0: float, w0: float, nodes,
     accepted = rejected = nfev = 0
     try:
         for rt in nodes:
-            while r < rt - 1e-14 * max(1.0, rt):
+            stop = rt - 1e-14 * max(1.0, rt)
+            while r < stop:
                 if not have_k1:
                     nfev += 1
                     k1v, k1w = rhs(r, v, w)
                     have_k1 = True
-                h = min(h_next, h_max, rt - r)
+                # min(h_next, h_max, rt - r)
+                h = h_max if h_max < h_next else h_next
+                if rt - r < h:
+                    h = rt - r
                 while True:
                     nfev += 1
                     k2v, k2w = rhs(r + 1 / 5 * h,
-                                   v + h * (0 + 1 / 5 * k1v),
-                                   w + h * (0 + 1 / 5 * k1w))
+                                   v + h * (0.0 + 1 / 5 * k1v),
+                                   w + h * (0.0 + 1 / 5 * k1w))
                     nfev += 1
                     k3v, k3w = rhs(r + 3 / 10 * h,
-                                   v + h * (0 + 3 / 40 * k1v + 9 / 40 * k2v),
-                                   w + h * (0 + 3 / 40 * k1w + 9 / 40 * k2w))
+                                   v + h * (0.0 + 3 / 40 * k1v + 9 / 40 * k2v),
+                                   w + h * (0.0 + 3 / 40 * k1w + 9 / 40 * k2w))
                     nfev += 1
                     k4v, k4w = rhs(r + 4 / 5 * h,
-                                   v + h * (0 + 44 / 45 * k1v - 56 / 15 * k2v + 32 / 9 * k3v),
-                                   w + h * (0 + 44 / 45 * k1w - 56 / 15 * k2w + 32 / 9 * k3w))
+                                   v + h * (0.0 + 44 / 45 * k1v - 56 / 15 * k2v + 32 / 9 * k3v),
+                                   w + h * (0.0 + 44 / 45 * k1w - 56 / 15 * k2w + 32 / 9 * k3w))
                     nfev += 1
                     k5v, k5w = rhs(r + 8 / 9 * h,
-                                   v + h * (0 + 19372 / 6561 * k1v - 25360 / 2187 * k2v
+                                   v + h * (0.0 + 19372 / 6561 * k1v - 25360 / 2187 * k2v
                                             + 64448 / 6561 * k3v - 212 / 729 * k4v),
-                                   w + h * (0 + 19372 / 6561 * k1w - 25360 / 2187 * k2w
+                                   w + h * (0.0 + 19372 / 6561 * k1w - 25360 / 2187 * k2w
                                             + 64448 / 6561 * k3w - 212 / 729 * k4w))
                     nfev += 1
                     k6v, k6w = rhs(r + h,
-                                   v + h * (0 + 9017 / 3168 * k1v - 355 / 33 * k2v
+                                   v + h * (0.0 + 9017 / 3168 * k1v - 355 / 33 * k2v
                                             + 46732 / 5247 * k3v + 49 / 176 * k4v
                                             - 5103 / 18656 * k5v),
-                                   w + h * (0 + 9017 / 3168 * k1w - 355 / 33 * k2w
+                                   w + h * (0.0 + 9017 / 3168 * k1w - 355 / 33 * k2w
                                             + 46732 / 5247 * k3w + 49 / 176 * k4w
                                             - 5103 / 18656 * k5w))
                     # stage 7 sits at the fifth-order solution, less its zero-weight k7 term
-                    sv = (0 + 35 / 384 * k1v + 0.0 * k2v + 500 / 1113 * k3v
+                    sv = (0.0 + 35 / 384 * k1v + 0.0 * k2v + 500 / 1113 * k3v
                           + 125 / 192 * k4v - 2187 / 6784 * k5v + 11 / 84 * k6v)
-                    sw = (0 + 35 / 384 * k1w + 0.0 * k2w + 500 / 1113 * k3w
+                    sw = (0.0 + 35 / 384 * k1w + 0.0 * k2w + 500 / 1113 * k3w
                           + 125 / 192 * k4w - 2187 / 6784 * k5w + 11 / 84 * k6w)
                     nfev += 1
                     k7v, k7w = rhs(r + h, v + h * sv, w + h * sw)
                     v5 = v + h * (sv + 0.0 * k7v)
                     w5 = w + h * (sw + 0.0 * k7w)
-                    v4 = v + h * (0 + 5179 / 57600 * k1v + 0.0 * k2v + 7571 / 16695 * k3v
+                    v4 = v + h * (0.0 + 5179 / 57600 * k1v + 0.0 * k2v + 7571 / 16695 * k3v
                                   + 393 / 640 * k4v - 92097 / 339200 * k5v
                                   + 187 / 2100 * k6v + 1 / 40 * k7v)
-                    w4 = w + h * (0 + 5179 / 57600 * k1w + 0.0 * k2w + 7571 / 16695 * k3w
+                    w4 = w + h * (0.0 + 5179 / 57600 * k1w + 0.0 * k2w + 7571 / 16695 * k3w
                                   + 393 / 640 * k4w - 92097 / 339200 * k5w
                                   + 187 / 2100 * k6w + 1 / 40 * k7w)
-                    ev = abs(v5 - v4) / (atol + rtol * max(abs(v), abs(v5)))
-                    ew = abs(w5 - w4) / (atol + rtol * max(abs(w), abs(w5)))
-                    # a NaN in either component must reject the step
-                    err = max(ev, ew) if ew == ew else ew
+                    # max(|y|, |y5|) for y = v, w
+                    a0, a5 = abs(v), abs(v5)
+                    ev = abs(v5 - v4) / (atol + rtol * (a5 if a5 > a0 else a0))
+                    a0, a5 = abs(w), abs(w5)
+                    ew = abs(w5 - w4) / (atol + rtol * (a5 if a5 > a0 else a0))
+                    # max(ev, ew), except that a NaN ew is kept: a NaN in
+                    # either component must reject the step
+                    err = ew if ew > ev or ew != ew else ev
                     if err <= 1.0:
                         # err <= 1 makes k7 finite, so (v5, w5) is exactly where k7 was taken
                         accepted += 1
                         r += h
                         v, w = v5, w5
                         k1v, k1w = k7v, k7w
-                        h_next = h * min(5.0, max(0.2, 0.9 * (err + 1e-300) ** -0.2))
+                        # min(5.0, max(0.2, fac))
+                        fac = 0.9 * (err + 1e-300) ** -0.2
+                        if not fac > 0.2:
+                            fac = 0.2
+                        h_next = h * (fac if fac < 5.0 else 5.0)
                         break
                     rejected += 1
-                    h *= max(0.2, 0.9 * err**-0.2)
+                    fac = 0.9 * err**-0.2
+                    h *= fac if fac > 0.2 else 0.2  # max(0.2, fac)
                     if h < 1e-13:
                         raise StepFailure(f"step size underflow at r = {r:.6g}")
             collect(rt, v, w)
@@ -507,6 +552,7 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
     cone = cone or f.cone
     mu = _diagonal_seed(f)
     c2 = -mu * math.exp(v0)
+    solve = _lambda1_solver(f, cone, cfg)
 
     r_out = np.linspace(0.0, r_max, cfg.n_out)
     rows: list[tuple[float, float, float, float, float, float]] = []
@@ -517,7 +563,7 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
         if rt == 0.0:
             return mu, mu, abs(f.fn(mu, mu) - 1.0)
         lam2 = math.exp(-v) * (-w / rt - 0.25 * w * w)
-        lam1, residual = _solve_lambda1(f, cone, lam2, rt, cfg)
+        lam1, residual = solve(lam2, rt)
         return lam1, lam2, residual
 
     def record(rt: float, v: float, w: float) -> bool:
@@ -542,13 +588,13 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
             break
 
     if ok and main_nodes.size:
+        exp = math.exp
 
         def rhs(r: float, v: float, w: float) -> tuple[float, float]:
             if abs(v) > VALUE_OVERFLOW:
                 raise StepFailure(f"v overflow at r = {r:.6g}")
-            lam2 = math.exp(-v) * (-w / r - 0.25 * w * w)
-            lam1, _ = _solve_lambda1(f, cone, lam2, r, cfg)
-            return w, 0.25 * w * w - lam1 * math.exp(v)
+            lam1, _ = solve(exp(-v) * (-w / r - 0.25 * w * w), r)
+            return w, 0.25 * w * w - lam1 * exp(v)
 
         def collect(rt: float, v: float, w: float) -> None:
             if not record(rt, v, w):
