@@ -39,6 +39,9 @@ SCHEMA = "conformal2d/1"
 GRID_MAX_NODES = 1_000_000
 # numerical failures: exit 2 with one "error:" line, never exit 1
 _ERRORS = (Conformal2dError, ArithmeticError, ValueError)
+# flags that take a float; argparse reads a value such as "-inf" or "-1e3"
+# as an option string, so main() joins it to its flag as "--tol=-inf"
+_FLOAT_FLAGS = frozenset({"--tol", "--eps", "--v0", "--cone", "--lam-max"})
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -148,6 +151,13 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return r0, r1, n
 
 
+def _check_tol(tol: Optional[float]) -> None:
+    """--tol is absent, or finite and > 0: a NaN tolerance fails every row
+    and an infinite one passes every row."""
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
+
+
 def _parse_point(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
@@ -178,6 +188,8 @@ def _resolve_suites(raw: Optional[list[str]]) -> list[str]:
     names: list[str] = []
     for chunk in raw:
         names.extend(s for s in chunk.split(",") if s)
+    if not names:
+        raise ConfigError(f"no suite named; available: {', '.join(SUITES)}")
     if "all" in names:
         return list(SUITES)
     unknown = [n for n in names if n not in SUITES]
@@ -192,6 +204,7 @@ def _resolve_suites(raw: Optional[list[str]]) -> list[str]:
 
 def cmd_verify(args) -> int:
     names = _resolve_suites(args.suite)
+    _check_tol(args.tol)
     checks, raised = [], []
     for name in names:
         # a suite that raises becomes a failing row; the others still run
@@ -213,6 +226,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    _check_tol(args.tol)
     if args.profile:
         try:
             prof = RadialProfile.from_csv(args.profile)
@@ -413,8 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_float_values(argv: list[str]) -> list[str]:
+    """argv with each "-"-led number after a float flag joined to it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={arg}"
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_join_float_values(argv))
     try:
         return args.func(args)
     except ConfigError as e:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -164,23 +165,38 @@ def _envelope_argmin(r: list[float], v: list[float], eps: float) -> np.ndarray:
 
     Felzenszwalb-Huttenlocher lower envelope on a non-uniform grid: a stack
     of the parabolas that are lowest somewhere, each with the left end of
-    its interval, built in one sweep.  O(n) time and memory.
+    its interval, built in one sweep.  O(n) time and memory.  The top of
+    the stack (index j, its r and v, and its left end) lives in locals.
+    A breakpoint that is not above the top's left end, NaN included, pops
+    the top.
     """
-    hull: list[int] = []
-    left: list[float] = []
-    for q, (rq, vq) in enumerate(zip(r, v)):
-        while hull:
-            j = hull[-1]
-            s = 0.5 * (r[j] + rq) + 0.5 * eps * (vq - v[j]) / (rq - r[j])
-            if s > left[-1]:
+    half_eps = 0.5 * eps  # 0.5 * eps * x is (0.5 * eps) * x: same bits
+    hull: list[int] = []  # the stack below its top
+    left = array("d")  # and the left ends of their intervals
+    j, rj, vj, lj = 0, r[0], v[0], -math.inf
+    for q in range(1, len(r)):
+        rq = r[q]
+        vq = v[q]
+        s = 0.5 * (rj + rq) + half_eps * (vq - vj) / (rq - rj)
+        while not s > lj:
+            if not hull:
+                s = -math.inf  # parabola q is the lowest one to its left
                 break
-            hull.pop()
-            left.pop()
+            j = hull.pop()
+            lj = left.pop()
+            rj = r[j]
+            vj = v[j]
+            s = 0.5 * (rj + rq) + half_eps * (vq - vj) / (rq - rj)
         else:
-            s = -math.inf  # parabola q is the lowest one to its left
-        hull.append(q)
-        left.append(s)
-    return np.asarray(hull)[np.searchsorted(left[1:], r, side="left")]
+            hull.append(j)
+            left.append(lj)
+        j = q
+        rj = rq
+        vj = vq
+        lj = s
+    hull.append(j)
+    left.append(lj)
+    return np.asarray(hull)[np.searchsorted(np.frombuffer(left)[1:], r, side="left")]
 
 
 def inf_envelope(p: RadialProfile, eps: float) -> EnvelopeResult:
@@ -191,8 +207,8 @@ def inf_envelope(p: RadialProfile, eps: float) -> EnvelopeResult:
     the cost of its lowest parabola, capped by its own value v (the k = i
     candidate), so env <= v holds exactly.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
     r, v = p.r, p.v
     k = _envelope_argmin(r.tolist(), v.tolist(), eps)
     env = np.minimum(v[k] + (r - r[k]) ** 2 / eps, v)
@@ -281,9 +297,9 @@ def check_monotone_4log(p: RadialProfile, k0: float = 0.0,
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver settings.  rtol, atol, h_init and h_max must be finite and
-    positive (a NaN tolerance rejects every step, an infinite one accepts
-    every step), and n_out at least 2."""
+    """Solver settings.  rtol, atol, r_series, h_init and h_max must be
+    finite and positive (a NaN tolerance rejects every step, an infinite one
+    accepts every step), and n_out at least 2."""
 
     rtol: float = 1e-8
     atol: float = 1e-11
@@ -294,7 +310,7 @@ class SolveConfig:
     root_residual_max: float = 1e-11
 
     def __post_init__(self) -> None:
-        for name in ("rtol", "atol", "h_init", "h_max"):
+        for name in ("rtol", "atol", "r_series", "h_init", "h_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")

@@ -79,3 +79,63 @@ def test_exp_example_search_raises_no_runtime_warning(capsys):
     assert code == 2
     err = stderr_lines(capsys)
     assert len(err) == 1 and "no admissible sphere radius" in err[0]
+
+
+# -- one numeric argument domain --------------------------------------------------
+
+
+@pytest.mark.parametrize("eps, line", [
+    ("inf", "error: eps must be finite and > 0, got inf"),
+    ("nan", "config error: eps must be positive"),
+    ("-inf", "config error: eps must be positive"),
+])
+def test_envelope_non_finite_eps_exits_2(capsys, eps, line):
+    # eps = inf used to exit 0 with a semiconcavity defect of 0.0
+    assert main(["envelope", "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"),
+                                        ("0", "0.0"), ("-1e3", "-1000.0")])
+@pytest.mark.parametrize("argv", [["verify", "--suite", "bubble"], ["envelope"]],
+                         ids=lambda a: a[0])
+def test_out_of_domain_tol_is_config_error(capsys, argv, tol, shown):
+    # verify --tol inf used to pass every row and exit 0; verify and envelope
+    # with --tol nan exited 1, the "a check failed" code
+    assert main([*argv, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"config error: tol must be finite and > 0, got {shown}"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["solve-radial", "--tol", "-inf"], "error: rtol must be finite and > 0, got -inf"),
+    (["solve-radial", "--v0", "-1e3"], "error: |v0| = 1000 exceeds 700"),
+    (["solve-radial", "--cone", "-inf"], "error: cone index must satisfy 1 < p <= 2, got -inf"),
+    (["envelope", "--eps", "-1e3"], "config error: eps must be positive"),
+    (["moving-spheres", "--lam-max", "-inf"], "error: lam_max must be finite and positive"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_negative_float_values_reach_the_subcommand(capsys, argv, line):
+    # argparse reads "-inf" and "-1e3" as option strings and printed a usage
+    # block; joined to their flags they reach the subcommand's own check
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+
+
+def test_negative_finite_values_are_accepted(capsys):
+    assert main(["solve-radial", "--v0", "-1e-1", "--grid", "0:1:11"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["v0"] == -0.1
+
+
+@pytest.mark.parametrize("suite", ["", ",", ",,"])
+def test_empty_suite_list_is_config_error(capsys, suite):
+    # "--suite ''" used to run no suite, write "checks": [] and exit 0
+    assert main(["verify", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: no suite named; available: ")

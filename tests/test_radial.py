@@ -194,6 +194,14 @@ def test_envelope_rejects_bad_eps():
         inf_envelope(p, 0.0)
 
 
+@pytest.mark.parametrize("eps", [math.inf, math.nan, -math.inf, -1.0, -0.0], ids=repr)
+def test_envelope_rejects_non_finite_eps(eps):
+    # eps = inf used to report a semiconcavity defect of 0.0, and eps = nan
+    # raised "profile contains non-finite entries"
+    with pytest.raises(ValueError, match=r"^eps must be finite and > 0, got "):
+        inf_envelope(RadialProfile(GRID, GRID), eps)
+
+
 def brute_force_envelope(r, v, eps):
     """O(n^2) oracle: the cheapest parabola over every node, at every node."""
     return (v[None, :] + (r[:, None] - r[None, :]) ** 2 / eps).min(axis=1)

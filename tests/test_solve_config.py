@@ -70,3 +70,10 @@ def test_oversized_grid_is_rejected_before_allocation(capsys, no_linspace, argv)
 def test_node_cap_is_far_above_documented_grids():
     # the README's largest grid is 20000 nodes
     assert GRID_MAX_NODES >= 50 * 20000
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE, ids=repr)
+def test_r_series_must_be_finite_and_positive(value):
+    # r_series = nan raised a misleading StepFailure, and -1.0 a ZeroDivisionError
+    with pytest.raises(ValueError, match="^r_series must be finite and > 0, got "):
+        SolveConfig(r_series=value)
