@@ -39,9 +39,11 @@ SCHEMA = "conformal2d/1"
 GRID_MAX_NODES = 1_000_000
 # numerical failures: exit 2 with one "error:" line, never exit 1
 _ERRORS = (Conformal2dError, ArithmeticError, ValueError)
-# flags that take a float; argparse reads a value such as "-inf" or "-1e3"
-# as an option string, so main() joins it to its flag as "--tol=-inf"
+# flags that take a float, or (--x) a point x1,x2; argparse reads a value
+# such as "-inf", "-1e3" or "-0.5,0" as an option string, so main() joins it
+# to its flag as "--tol=-inf"
 _FLOAT_FLAGS = frozenset({"--tol", "--eps", "--v0", "--cone", "--lam-max"})
+_POINT_FLAGS = frozenset({"--x"})
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -428,16 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_float_values(argv: list[str]) -> list[str]:
-    """argv with each "-"-led number after a float flag joined to it."""
+    """argv with each "-"-led number after a float flag, and each "-"-led
+    point after a point flag, joined to its flag."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _FLOAT_FLAGS and arg.startswith("-"):
+        flag = out[-1] if out else ""
+        if arg.startswith("-") and (flag in _FLOAT_FLAGS or flag in _POINT_FLAGS):
+            # a point's first coordinate leads it; _parse_point checks the rest
             try:
-                float(arg)
+                float(arg.split(",")[0] if flag in _POINT_FLAGS else arg)
             except ValueError:
                 pass
             else:
-                out[-1] = f"{out[-1]}={arg}"
+                out[-1] = f"{flag}={arg}"
                 continue
         out.append(arg)
     return out

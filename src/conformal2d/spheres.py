@@ -25,11 +25,15 @@ from .radial import minimize_on_circles
 SLACK_TOL_SCALE = 1e-9
 RHO_MIN_FACTOR = 1.0 + 1e-3
 # |min_slack| up to this is zero to roundoff: a bubble's slack at its
-# critical radius reads about 1e-15.  Below lambda_bar, min_slack is small
-# (about 1e-3 of its slope above), so a polish bracket end this close to
-# zero would steer brentq's interpolation by roundoff alone.
+# critical radius reads about 1e-15.  A radius the search certifies as the
+# touching radius reads no more, and bisection counts a radius that reads
+# more than -SLACK_ROUNDOFF as below the touching radius.
 SLACK_ROUNDOFF = 1e-12
 _SQRT_TINY = math.sqrt(sys.float_info.min)
+# the largest lam_max critical_lambda accepts: its grid reaches out to
+# 10 lam_max, and there |y - x|^2 is half the largest double, which leaves
+# room for the rounding of y - x
+LAM_MAX_LIMIT = 0.1 * math.sqrt(0.5 * sys.float_info.max)
 
 
 def ms_transform(u: ScalarField, x, lam: float) -> PullbackField:
@@ -67,6 +71,9 @@ class SlackStats(NamedTuple):
     min_slack: float
     max_abs_slack: float
     admissible: bool
+    # flat index i * n_angles + j of the sample (radius i, angle j) where
+    # min_slack is attained; None where the slack is not finite
+    argmin: Optional[int] = None
 
 
 @functools.lru_cache(maxsize=8)
@@ -100,33 +107,19 @@ def _log_radii(start: float, stop: float, n: int) -> np.ndarray:
     return radii
 
 
-def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
-                n_angles: int = 64, r_out: float | None = None) -> SlackStats:
-    """Statistics of slack(y) = u(y) - u_{x,lam}(y) over |y - x| >= lam.
+def _slack(u: ScalarField, xv: Vec2, lam: float, radii: np.ndarray,
+           cos: np.ndarray, sin: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """slack(y) = u(y) - u_{x,lam}(y) at y = x + radii (cos, sin), u(y), and a
+    scratch grid of the same shape.
 
-    Radii are log-spaced from just outside the fixed sphere to
-    R_out = max(100, 10 lam); the predicate tolerance absorbs jet roundoff
-    through a 1e-9 (1 + |u|) allowance.  The n_radii x n_angles samples y
-    and their images x + lam^2 (y-x)/|y-x|^2 go to u in one values() call,
-    so an exception from either half propagates.  Non-finite slack anywhere,
-    in either half, fails closed: the radius is inadmissible and min_slack
-    is NaN.
-
-    Buffers and ownership: the samples, the images, the log-Jacobian term
-    and one scratch grid share one array that this call allocates, and the
-    slack and its bounds are formed in place in it.  u.values is handed
-    views of that array and must not keep them; its result is read and never
-    written, so a read-only or shared result is fine.
+    The samples, their images, the log-Jacobian term and the scratch grid
+    share one array that this call allocates, and the slack is formed in
+    place in it.  u.values is handed views of that array and must not keep
+    them; its result is read and never written, so a read-only or shared
+    result is fine.
     """
-    if not lam > 0.0:
-        raise ValueError("lam must be positive")
-    xv = Vec2.of(x)
-    if r_out is None:
-        r_out = max(100.0, 10.0 * lam)
-    radii = _log_radii(RHO_MIN_FACTOR * lam, r_out, n_radii)
-    cos, sin = _stencil(n_angles)
     # rows: sample x1, image x1, sample x2, image x2, log-Jacobian, scratch
-    buf = np.empty((6, n_radii, n_angles))
+    buf = np.empty((6, radii.shape[0], cos.shape[0]))
     y1, img1, y2, img2, slack, scratch = buf
     np.multiply(radii, cos, out=y1)
     np.add(y1, xv.x1, out=y1)
@@ -137,16 +130,49 @@ def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
     # slack = uy - (u_img - jac), formed in the log-Jacobian row
     np.subtract(u_img, slack, out=slack)
     np.subtract(uy, slack, out=slack)
+    return slack, uy, scratch
+
+
+def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
+                n_angles: int = 64, r_out: float | None = None) -> SlackStats:
+    """Statistics of slack(y) = u(y) - u_{x,lam}(y) over |y - x| >= lam.
+
+    Radii are log-spaced from just outside the fixed sphere to
+    R_out = max(100, 10 lam); the predicate tolerance absorbs jet roundoff
+    through a 1e-9 (1 + |u|) allowance.  The n_radii x n_angles samples y
+    and their images x + lam^2 (y-x)/|y-x|^2 go to u in one values() call,
+    so an exception from either half propagates.  Non-finite slack anywhere,
+    in either half, fails closed: the radius is inadmissible and min_slack
+    is NaN.  The slack and its bounds are formed in place in one buffer
+    (see _slack).
+    """
+    if not lam > 0.0:
+        raise ValueError("lam must be positive")
+    xv = Vec2.of(x)
+    if r_out is None:
+        r_out = max(100.0, 10.0 * lam)
+    slack, uy, scratch = _slack(u, xv, lam, _log_radii(RHO_MIN_FACTOR * lam, r_out, n_radii),
+                                *_stencil(n_angles))
     max_abs = float(np.abs(slack, out=scratch).max())
-    finite = math.isfinite(max_abs)  # NaN and +-inf in slack both reach it
-    if finite:
-        # the allowance -1e-9 (1 + |uy|)
-        np.abs(uy, out=scratch)
-        np.add(scratch, 1.0, out=scratch)
-        np.multiply(scratch, -SLACK_TOL_SCALE, out=scratch)
-    admissible = finite and bool((slack >= scratch).all())
-    min_slack = float(slack.min()) if finite else math.nan
-    return SlackStats(min_slack, max_abs, admissible)
+    if not math.isfinite(max_abs):  # NaN and +-inf in slack both reach it
+        return SlackStats(math.nan, max_abs, False)
+    # the allowance -1e-9 (1 + |uy|)
+    np.abs(uy, out=scratch)
+    np.add(scratch, 1.0, out=scratch)
+    np.multiply(scratch, -SLACK_TOL_SCALE, out=scratch)
+    argmin = int(slack.argmin())
+    return SlackStats(float(slack.flat[argmin]), max_abs, bool((slack >= scratch).all()),
+                      argmin)
+
+
+def _sample_slack(u: ScalarField, xv: Vec2, lam: float, n_radii: int,
+                  n_angles: int, index: int) -> float:
+    """The slack that slack_stats(u, xv, lam, n_radii, n_angles) finds at flat
+    index `index`, by the same radii, stencil and operations on one sample."""
+    i, j = divmod(index, n_angles)
+    radii = _log_radii(RHO_MIN_FACTOR * lam, max(100.0, 10.0 * lam), n_radii)
+    cos, sin = _stencil(n_angles)
+    return float(_slack(u, xv, lam, radii[i:i + 1], cos[j:j + 1], sin[j:j + 1])[0][0, 0])
 
 
 @dataclass(frozen=True)
@@ -154,10 +180,14 @@ class MovingSphereReport:
     """Result of the critical-radius search at a base point.
 
     lambda_bar is None exactly when unbounded is set (the admissibility
-    predicate holds at lam_max).  equality_residual is the sup of |slack|
-    at the refined touching radius; bracket records the certified bisection
-    interval.  trace holds (lam, admissible, min_slack, max_abs_slack) for
-    each distinct radius the search evaluated, in evaluation order.
+    predicate holds at lam_max; min_slack is then lam_max's).  Otherwise
+    bracket = (lo, hi) has lo <= lambda_bar <= hi and hi - lo <= tol lo, or
+    adjacent doubles.  lo is admissible and min_slack is its trace entry;
+    a certified search has lo = lambda_bar.  hi is inadmissible, or, once
+    tol is below the 1e-9 (1 + |u|) slack allowance, reads min_slack below
+    -SLACK_ROUNDOFF.  equality_residual is the sup of |slack| at lambda_bar.
+    trace holds (lam, admissible, min_slack, max_abs_slack) for each
+    distinct radius the search evaluated, in evaluation order.
     """
 
     x: Vec2
@@ -180,48 +210,52 @@ class MovingSphereReport:
         }
 
 
-def _polish_bracket(memo: dict) -> Optional[tuple[float, float]]:
-    """The tightest neighbouring radii a < b with min_slack(a) > 0 >
-    min_slack(b), among the radii evaluated whose min_slack is clear of
-    roundoff (beyond SLACK_ROUNDOFF); None if there is none.
-
-    When lo's min_slack is positive this is the bisection bracket (lo, hi).
-    A bracket narrower than the 1e-9 (1 + |u|) allowance leaves lo admissible
-    with a negative min_slack, and the sign change then lies below lo.
-    """
-    lams = [lam for lam in sorted(memo) if not abs(memo[lam].min_slack) <= SLACK_ROUNDOFF]
-    pairs = [(a, b) for a, b in zip(lams, lams[1:])
-             if memo[a].min_slack > 0.0 > memo[b].min_slack]
-    return min(pairs, key=lambda ab: ab[1] - ab[0], default=None)
-
-
 def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
                     n_radii: int = 48, n_angles: int = 64) -> MovingSphereReport:
-    """Bisection for lambda_bar(x) = sup of admissible sphere radii.
+    """lambda_bar(x) = sup of admissible sphere radii, and its touching radius.
 
     A radius lam is admissible when u_{x,lam} <= u outside the sphere at
     every sample.  If lam_max itself is admissible the report carries the
-    unbounded flag.  Otherwise the bisection bracket is tightened to
-    relative width tol, then the touching radius is polished by root-finding
-    the (signed, smooth-through-zero) minimum slack across the tightest sign
-    change among the radii evaluated (the bisection bracket, unless that is
-    narrower than the slack allowance); the equality residual is the
-    sup-norm of the slack at the polished radius and lands far below the
-    bisection tolerance when u is a bubble.
+    unbounded flag.  Otherwise lam_max is halved until a radius lo is
+    admissible, at most 60 times, and stops sooner where the nearest samples
+    would round onto x; then it raises DomainError.
+
+    For a bubble every sample's slack vanishes at lambda_bar.  So the search
+    takes the sample where the slack is least at hi = 2 lo, root-finds that
+    one sample's slack in lam on [lo, hi] with brentq (lam* = lo where it is
+    not positive at lo: halving can land on lambda_bar), and certifies lam*
+    with at most two more full grids: lam* must be admissible with
+    |min_slack| <= SLACK_ROUNDOFF, and lam* (1 + tol/2), or hi if that is
+    less, inadmissible.  Then lambda_bar = lam* and the bracket is lam* and
+    that radius.
+
+    Otherwise (a touching the sample's root misses, as a non-bubble may
+    have, or a tol below about 1e-8, where the 1e-9 (1 + |u|) allowance
+    leaves lam* (1 + tol/2) admissible) the search falls back to bisection
+    of [lo, hi]: an admissible radius with min_slack >= -SLACK_ROUNDOFF
+    moves lo, any other moves hi, down to relative width tol or adjacent
+    doubles.  Then brentq on min_slack across (lo, hi) polishes the touching
+    radius where min_slack changes sign there; else lambda_bar = lo.
 
     Each distinct radius costs one slack_stats call per search: brentq's
-    bracket ends and the polished radius are read back, and the bisection
-    also stops when lo and hi are adjacent doubles.  The search for an
-    admissible radius halves lam_max at most 60 times, and stops sooner
-    where the nearest samples would round onto x; then it raises
-    DomainError.  lam_max and tol must be finite and positive (ValueError
-    otherwise).
+    bracket ends and the polished radius are read back.  lam_max must be
+    finite, at most LAM_MAX_LIMIT and large enough that the nearest samples
+    stay off x, and tol finite and positive (ValueError otherwise).
     """
     if not (math.isfinite(lam_max) and lam_max > 0.0):
         raise ValueError("lam_max must be finite and positive")
+    if lam_max > LAM_MAX_LIMIT:
+        raise ValueError(f"lam_max must be at most {LAM_MAX_LIMIT:.6g}, where |y - x|^2 "
+                         "on the sample grid stays finite")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive")
     xv = Vec2.of(x)
+    # a sample radius above rho_floor moves each sample off x, and |y - x|^2
+    # stays normal
+    rho_floor = max(math.ulp(xv.x1), math.ulp(xv.x2), _SQRT_TINY)
+    if RHO_MIN_FACTOR * lam_max <= rho_floor:
+        raise ValueError(f"lam_max must exceed {rho_floor / RHO_MIN_FACTOR:.6g}, below "
+                         "which the nearest samples round onto x")
     memo: dict[float, SlackStats] = {}
 
     def stats(lam: float) -> SlackStats:
@@ -238,38 +272,42 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     if top.admissible:
         return report(None, True, top.min_slack, None, None)
 
-    lo, lo_stats, halvings = lam_max, top, 0
-    # a sample radius above rho_floor moves each sample off x, and |y - x|^2
-    # stays normal
-    rho_floor = max(math.ulp(xv.x1), math.ulp(xv.x2), _SQRT_TINY)
-    while not lo_stats.admissible:
+    lo, halvings = lam_max, 0
+    while not stats(lo).admissible:
         if halvings == 60 or RHO_MIN_FACTOR * 0.5 * lo <= rho_floor:
             raise DomainError("no admissible sphere radius found above "
                               f"lam_max / 2^{halvings}")
         hi = lo
         lo *= 0.5
-        lo_stats = stats(lo)
         halvings += 1
+
+    index = stats(hi).argmin
+    if index is not None:
+        sample = functools.lru_cache(maxsize=None)(
+            lambda lam: _sample_slack(u, xv, lam, n_radii, n_angles, index))
+        # sample(hi) is min_slack(hi) < 0, bit for bit
+        root = lo
+        if sample(lo) > 0.0 > sample(hi):
+            root = float(brentq(sample, lo, hi, xtol=1e-14 * lo))
+        above = min(root * (1.0 + 0.5 * tol), hi)  # hi is inadmissible already
+        at = stats(root)
+        if at.admissible and abs(at.min_slack) <= SLACK_ROUNDOFF \
+                and not stats(above).admissible:
+            return report(root, False, at.min_slack, at.max_abs_slack, (root, above))
 
     while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # lo and hi are adjacent doubles
         st = stats(mid)
-        if st.admissible:
-            lo, lo_stats = mid, st
+        if st.admissible and st.min_slack >= -SLACK_ROUNDOFF:
+            lo = mid
         else:
             hi = mid
-
     lam_bar = lo
-    # a min_slack at lo that is zero to roundoff, or below zero by no more,
-    # makes lo the touching radius already
-    polish = None if -SLACK_ROUNDOFF <= lo_stats.min_slack <= 0.0 else _polish_bracket(memo)
-    if polish is not None:
-        a, b = polish
-        lam_bar = float(brentq(lambda lam: stats(lam).min_slack, a, b, xtol=1e-14 * a))
-    equality_residual = stats(lam_bar).max_abs_slack
-    return report(lam_bar, False, lo_stats.min_slack, equality_residual, (lo, hi))
+    if stats(lo).min_slack > 0.0 > stats(hi).min_slack:
+        lam_bar = float(brentq(lambda lam: stats(lam).min_slack, lo, hi, xtol=1e-14 * lo))
+    return report(lam_bar, False, stats(lo).min_slack, stats(lam_bar).max_abs_slack, (lo, hi))
 
 
 @dataclass(frozen=True)

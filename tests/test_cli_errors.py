@@ -116,6 +116,7 @@ def test_out_of_domain_tol_is_config_error(capsys, argv, tol, shown):
     (["solve-radial", "--cone", "-inf"], "error: cone index must satisfy 1 < p <= 2, got -inf"),
     (["envelope", "--eps", "-1e3"], "config error: eps must be positive"),
     (["moving-spheres", "--lam-max", "-inf"], "error: lam_max must be finite and positive"),
+    (["moving-spheres", "--x", "-0.5"], "config error: point must be x1,x2, got '-0.5'"),
 ], ids=lambda a: " ".join(a) if isinstance(a, list) else None)
 def test_negative_float_values_reach_the_subcommand(capsys, argv, line):
     # argparse reads "-inf" and "-1e3" as option strings and printed a usage
@@ -129,6 +130,16 @@ def test_negative_float_values_reach_the_subcommand(capsys, argv, line):
 def test_negative_finite_values_are_accepted(capsys):
     assert main(["solve-radial", "--v0", "-1e-1", "--grid", "0:1:11"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["v0"] == -0.1
+
+
+def test_negative_point_is_accepted(capsys):
+    # "--x -0.5,0" printed a usage block; it now reads as "--x=-0.5,0"
+    assert main(["moving-spheres", "--x", "-0.5,0"]) == 0
+    spaced = json.loads(capsys.readouterr().out)
+    assert main(["moving-spheres", "--x=-0.5,0"]) == 0
+    joined = json.loads(capsys.readouterr().out)
+    assert spaced["config"]["x"] == [-0.5, 0.0]
+    assert spaced["report"] == joined["report"]
 
 
 @pytest.mark.parametrize("suite", ["", ",", ",,"])
