@@ -462,6 +462,9 @@ def main(argv=None) -> int:
     except _ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

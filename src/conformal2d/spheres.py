@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._scipy import brentq
-from .errors import DomainError
+from .errors import Conformal2dError, DomainError
 from .fields import Bubble, PullbackField, ScalarField, pullback
 from .geometry import Vec2
 from .mobius import MobiusMap
@@ -60,11 +60,16 @@ def _kelvin(x: Vec2, lam: float, y1: np.ndarray, y2: np.ndarray,
     np.multiply(2.0, np.log(rho2 / (lam * lam)), out=out[2])
 
 
-def ms_value(u: ScalarField, x, lam: float, y) -> float:
-    """Value-only evaluation of u_{x,lam}(y), cheaper than a jet."""
-    yv, buf = Vec2.of(y), np.empty((3, 1))
-    _kelvin(Vec2.of(x), lam, np.array([yv.x1]), np.array([yv.x2]), buf)
-    return float(u.values(buf[0], buf[1])[0] - buf[2, 0])
+def ms_value(u: ScalarField, x, lam: float, y) -> float | np.ndarray:
+    """Value-only evaluation of u_{x,lam}(y), cheaper than a jet: a float at a
+    point y, or an array of values at coordinate arrays y = (y1, y2)."""
+    if np.ndim(y) < 2:  # a point
+        yv = Vec2.of(y)
+        return float(ms_value(u, x, lam, ([yv.x1], [yv.x2]))[0])
+    y1, y2 = np.asarray(y, dtype=float)
+    buf = np.empty((3,) + y1.shape)
+    _kelvin(Vec2.of(x), lam, y1, y2, buf)
+    return u.values(buf[0], buf[1]) - buf[2]
 
 
 class SlackStats(NamedTuple):
@@ -95,7 +100,8 @@ def _ramp(n: int) -> np.ndarray:
 
 def _log_radii(start: float, stop: float, n: int) -> np.ndarray:
     """np.geomspace(start, stop, n)[:, None] for positive start and stop,
-    bit for bit: the same log10 endpoints, step and power of ten."""
+    bit for bit: the same log10 endpoints, step and power of ten.  Rows
+    (1, k) of starts and stops give an (n, k) array, one such column each."""
     lo, hi = np.log10(start), np.log10(stop)
     radii = np.multiply(_ramp(n), (hi - lo) / max(n - 1, 1))
     np.add(radii, lo, out=radii)
@@ -165,14 +171,47 @@ def slack_stats(u: ScalarField, x, lam: float, n_radii: int = 48,
                       argmin)
 
 
-def _sample_slack(u: ScalarField, xv: Vec2, lam: float, n_radii: int,
-                  n_angles: int, index: int) -> float:
+def _sample_slack(u: ScalarField, xv: Vec2, lam: float | np.ndarray, n_radii: int,
+                  n_angles: int, index: int) -> float | np.ndarray:
     """The slack that slack_stats(u, xv, lam, n_radii, n_angles) finds at flat
-    index `index`, by the same radii, stencil and operations on one sample."""
+    index `index`, by the same radii, stencil and operations on one sample.
+
+    lam may be a 1-d array of radii: then the result is the array of those
+    slacks, each entry bit for bit the float that its radius alone gives."""
     i, j = divmod(index, n_angles)
-    radii = _log_radii(RHO_MIN_FACTOR * lam, max(100.0, 10.0 * lam), n_radii)
+    batch = np.ndim(lam) > 0
+    # a batch takes its grid ends as a row, and its radii to _slack as a column
+    ends = np.reshape(lam, (1, -1)) if batch else lam
+    radii = _log_radii(RHO_MIN_FACTOR * ends, np.maximum(100.0, 10.0 * ends), n_radii)
     cos, sin = _stencil(n_angles)
-    return float(_slack(u, xv, lam, radii[i:i + 1], cos[j:j + 1], sin[j:j + 1])[0][0, 0])
+    slack = _slack(u, xv, ends.T if batch else lam, radii[i, :, None],
+                   cos[j:j + 1], sin[j:j + 1])[0][:, 0]
+    return slack if batch else float(slack[0])
+
+
+def _probe_bracket(u: ScalarField, xv: Vec2, lam_max: float, rho_floor: float,
+                   n_radii: int, n_angles: int, index: int) -> Optional[tuple]:
+    """(lo, hi, slacks): the sample at flat index `index` evaluated, in one
+    batch, at the radii lam_max / 2^k that halving can reach (k <= 60, the
+    nearest samples above rho_floor); lo is the first radius where its slack
+    is at least -SLACK_ROUNDOFF, zero to roundoff as in bisection, and
+    hi = 2 lo.  slacks maps each radius to its slack.
+    None where the batch raises a numerical error (Conformal2dError,
+    ArithmeticError, ValueError) or holds a non-finite slack, or where no
+    slack after lam_max's reaches -SLACK_ROUNDOFF."""
+    lams = lam_max * 0.5 ** np.arange(61.0)
+    lams = lams[RHO_MIN_FACTOR * lams > rho_floor]
+    try:
+        # only the grids decide, so the probe's own warnings are noise
+        with np.errstate(all="ignore"):
+            slacks = _sample_slack(u, xv, lams, n_radii, n_angles, index)
+    except (Conformal2dError, ArithmeticError, ValueError):
+        return None  # the fallback's grids raise what they reach
+    stops = np.flatnonzero(slacks >= -SLACK_ROUNDOFF)
+    if not np.isfinite(slacks).all() or not stops.size or stops[0] == 0:
+        return None
+    k = stops[0]
+    return float(lams[k]), float(lams[k - 1]), dict(zip(lams.tolist(), slacks.tolist()))
 
 
 @dataclass(frozen=True)
@@ -216,26 +255,33 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
 
     A radius lam is admissible when u_{x,lam} <= u outside the sphere at
     every sample.  If lam_max itself is admissible the report carries the
-    unbounded flag.  Otherwise lam_max is halved until a radius lo is
-    admissible, at most 60 times, and stops sooner where the nearest samples
-    would round onto x; then it raises DomainError.
+    unbounded flag.
 
     For a bubble every sample's slack vanishes at lambda_bar.  So the search
-    takes the sample where the slack is least at hi = 2 lo, root-finds that
-    one sample's slack in lam on [lo, hi] with brentq (lam* = lo where it is
-    not positive at lo: halving can land on lambda_bar), and certifies lam*
-    with at most two more full grids: lam* must be admissible with
+    takes the sample where lam_max's slack is least and evaluates it, in one
+    batch, at the radii lam_max / 2^k that halving can reach (_probe_bracket).
+    The first radius lo where that slack is at least -SLACK_ROUNDOFF, and
+    hi = 2 lo, bracket a root: brentq finds lam* of that one sample's slack
+    on [lo, hi] (lam* = lo where the slack is not positive at lo: lo can be
+    lambda_bar).  Two full grids certify it: lam* must be admissible with
     |min_slack| <= SLACK_ROUNDOFF, and lam* (1 + tol/2), or hi if that is
     less, inadmissible.  Then lambda_bar = lam* and the bracket is lam* and
-    that radius.
+    that radius: three grids in all, with lam_max's.
 
-    Otherwise (a touching the sample's root misses, as a non-bubble may
-    have, or a tol below about 1e-8, where the 1e-9 (1 + |u|) allowance
-    leaves lam* (1 + tol/2) admissible) the search falls back to bisection
-    of [lo, hi]: an admissible radius with min_slack >= -SLACK_ROUNDOFF
-    moves lo, any other moves hi, down to relative width tol or adjacent
-    doubles.  Then brentq on min_slack across (lo, hi) polishes the touching
-    radius where min_slack changes sign there; else lambda_bar = lo.
+    Otherwise (a failed certificate, or a probe that raises a numerical
+    error, reads a non-finite slack or no root) the search is the full-grid one: lam_max is
+    halved until a radius lo is admissible, at most 60 times, and stops
+    sooner where the nearest samples would round onto x; then it raises
+    DomainError.  The same certificate is tried with the sample where the
+    slack is least at hi = 2 lo.  Where it fails too (a touching the sample's
+    root misses, as a non-bubble may have, or a tol below about 1e-8, where
+    the 1e-9 (1 + |u|) allowance leaves lam* (1 + tol/2) admissible), the
+    search bisects [lo, hi]: an admissible radius with min_slack >=
+    -SLACK_ROUNDOFF moves lo, any other moves hi, down to relative width tol
+    or adjacent doubles.  Then brentq on min_slack across (lo, hi) polishes
+    the touching radius where min_slack changes sign there; else
+    lambda_bar = lo.  The probe decides nothing here: the fallback's report,
+    or its error, is that of the full-grid search alone.
 
     Each distinct radius costs one slack_stats call per search: brentq's
     bracket ends and the polished radius are read back.  lam_max must be
@@ -268,9 +314,36 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
                       for lam, st in memo.items())
         return MovingSphereReport(xv, *fields, trace=trace)
 
+    def certify(lo: float, hi: float, slacks: dict,
+                index: int) -> Optional[MovingSphereReport]:
+        """The certified report from the sample at `index` on [lo, hi], or
+        None; slacks holds the sample's known slack by radius."""
+        def sample(lam: float) -> float:
+            if lam not in slacks:
+                slacks[lam] = _sample_slack(u, xv, lam, n_radii, n_angles, index)
+            return slacks[lam]
+
+        root = lo
+        if sample(lo) > 0.0 > sample(hi):
+            root = float(brentq(sample, lo, hi, xtol=1e-14 * lo))
+        above = min(root * (1.0 + 0.5 * tol), hi)
+        at = stats(root)
+        if at.admissible and abs(at.min_slack) <= SLACK_ROUNDOFF \
+                and not stats(above).admissible:
+            return report(root, False, at.min_slack, at.max_abs_slack, (root, above))
+        return None
+
     top = stats(lam_max)
     if top.admissible:
         return report(None, True, top.min_slack, None, None)
+
+    # the sample where lam_max's slack is least, probed at every halving
+    # radius in one batch, brackets the root for three grids in all
+    probe = None if top.argmin is None else _probe_bracket(
+        u, xv, lam_max, rho_floor, n_radii, n_angles, top.argmin)
+    certified = probe and certify(*probe, top.argmin)
+    if certified:
+        return certified
 
     lo, halvings = lam_max, 0
     while not stats(lo).admissible:
@@ -282,18 +355,9 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
         halvings += 1
 
     index = stats(hi).argmin
-    if index is not None:
-        sample = functools.lru_cache(maxsize=None)(
-            lambda lam: _sample_slack(u, xv, lam, n_radii, n_angles, index))
-        # sample(hi) is min_slack(hi) < 0, bit for bit
-        root = lo
-        if sample(lo) > 0.0 > sample(hi):
-            root = float(brentq(sample, lo, hi, xtol=1e-14 * lo))
-        above = min(root * (1.0 + 0.5 * tol), hi)  # hi is inadmissible already
-        at = stats(root)
-        if at.admissible and abs(at.min_slack) <= SLACK_ROUNDOFF \
-                and not stats(above).admissible:
-            return report(root, False, at.min_slack, at.max_abs_slack, (root, above))
+    certified = index is not None and certify(lo, hi, {}, index)
+    if certified:
+        return certified
 
     while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)

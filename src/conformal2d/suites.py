@@ -9,6 +9,7 @@ report.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional
 
@@ -244,13 +245,21 @@ def liouville_suite(seed: Optional[int] = None,
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def mass_suite(seed: Optional[int] = None,
                tol: Optional[float] = None) -> list[CheckReport]:
     """Total integral of e^u for mass-normalized bubbles: 2D quadrature over
     a disk plus the closed-form tail, compared against 8 pi."""
     tol = 1e-3 if tol is None else tol
     out = []
-    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes, weights = _gauss_legendre(200)
     thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     total_target = 8.0 * math.pi
     for u in (ChenLiBubble(1.0), ChenLiBubble(0.55)):
@@ -446,13 +455,14 @@ def spheres_suite(seed: Optional[int] = None,
 
     lam = rep.lambda_bar or 1.0
     radii = np.geomspace(0.1, 10.0, 120)
-    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    labeled = []
-    for r in radii:
-        for t in thetas[::8]:
-            y = Vec2(float(r * math.cos(t)), float(r * math.sin(t)))
-            labeled.append((f"r={r:.3g}",
-                            abs(ms_value(u, Vec2(0.0, 0.0), lam, y) - u.value(y))))
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)[::8]
+    # y = r (cos t, sin t), radius-major, with math.cos and math.sin as the
+    # labels' points always had; u_{x,lam} in one batch, u point by point
+    y1 = np.outer(radii, [math.cos(t) for t in thetas]).ravel()
+    y2 = np.outer(radii, [math.sin(t) for t in thetas]).ravel()
+    transformed = ms_value(u, Vec2(0.0, 0.0), lam, (y1, y2))
+    labeled = [(f"r={r:.3g}", abs(float(v) - u.value(Vec2(float(a), float(b)))))
+               for r, a, b, v in zip(np.repeat(radii, len(thetas)), y1, y2, transformed)]
     out.append(CheckReport.from_labeled("spheres-equality-residual", labeled, tol))
 
     crep = critical_lambda(ConstantField(0.7), Vec2(0.0, 0.0), lam_max=50.0)

@@ -4,6 +4,7 @@ in every subcommand, so that exit code 1 means only "a check failed"."""
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from conformal2d import cli
@@ -150,3 +151,27 @@ def test_empty_suite_list_is_config_error(capsys, suite):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: no suite named; available: ")
+
+
+# -- out of memory -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.45 MiB for an array with shape (976563,) and data type float64",
+     "error: out of memory: Unable to allocate 7.45 MiB for an array with shape (976563,) "
+     "and data type float64"),
+    ("", "error: out of memory"),
+])
+@pytest.mark.parametrize("argv", [["solve-radial", "--grid", "0:5:976563"],
+                                  ["envelope", "--grid", "0:6:976563"]], ids=lambda a: a[0])
+def test_memory_error_exits_2_with_one_line(monkeypatch, capsys, argv, message, line):
+    # a grid under the node cap can still exhaust memory; that used to end
+    # in a MemoryError traceback and exit 1
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np, "linspace", exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
