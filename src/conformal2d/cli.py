@@ -321,6 +321,49 @@ def cmd_moving_spheres(args) -> int:
     return 0
 
 
+_SPELLED = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _stored_number(value) -> float:
+    """A JSON number, or one of the spellings _emit_json writes."""
+    if isinstance(value, str) and value in _SPELLED:
+        return _SPELLED[value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{value!r} is not a number")
+
+
+def _stored_check(row) -> CheckReport:
+    """A written check row rebuilt from its numbers; ValueError if it is
+    malformed or its verdict is not max_error <= tolerance."""
+    if not isinstance(row, dict):
+        raise ValueError("not a JSON object")
+    missing = [k for k in ("name", "points_tested", "max_error", "tolerance", "passed")
+               if k not in row]
+    if missing:
+        raise ValueError(f"missing {', '.join(missing)}")
+    points = row["points_tested"]
+    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+        raise ValueError(f"points_tested {points!r} is not an int >= 1")
+    max_error = _stored_number(row["max_error"])
+    tolerance = _stored_number(row["tolerance"])
+    if not isinstance(row["passed"], bool):
+        raise ValueError(f"passed {row['passed']!r} is not a JSON bool")
+    passed = max_error <= tolerance
+    if row["passed"] is not passed:
+        raise ValueError(f"passed {row['passed']!r} disagrees with max_error "
+                         f"{max_error!r} <= tolerance {tolerance!r}")
+    return CheckReport(
+        name=str(row["name"]),
+        points_tested=points,
+        max_error=max_error,
+        tolerance=tolerance,
+        passed=passed,
+        witnesses=tuple((w[0], w[1]) for w in row.get("witnesses", [])),
+        extras=row.get("extras", {}),
+    )
+
+
 def cmd_report(args) -> int:
     if not args.inputs:
         raise ConfigError("report needs at least one input JSON file")
@@ -332,21 +375,26 @@ def cmd_report(args) -> int:
                 data = json.load(fh)
             except ValueError as e:
                 raise ConfigError(f"{path}: not a JSON report: {e}")
-        if data.get("schema") != SCHEMA:
-            raise ConfigError(f"{path}: unexpected schema {data.get('schema')!r}")
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != SCHEMA:
+            raise ConfigError(f"{path}: unexpected schema {schema!r}")
+        rows = data.get("checks", [])
+        passed = data.get("passed")
+        if not isinstance(rows, list):
+            raise ConfigError(f"{path}: checks is not a list")
+        if passed is not None and not isinstance(passed, bool):
+            raise ConfigError(f"{path}: passed {passed!r} is not a JSON bool")
         # experiment payloads carry a verdict but no check rows, so the
         # merged verdict cannot be recovered from the rows alone
-        inputs_passed = inputs_passed and bool(data.get("passed", True))
-        for row in data.get("checks", []):
-            checks.append(CheckReport(
-                name=row["name"],
-                points_tested=int(row["points_tested"]),
-                max_error=float(row["max_error"]),
-                tolerance=float(row["tolerance"]),
-                passed=bool(row["passed"]),
-                witnesses=tuple((w[0], w[1]) for w in row.get("witnesses", [])),
-                extras=row.get("extras", {}),
-            ))
+        if not rows and passed is None:
+            raise ConfigError(f"{path}: no check rows and no passed verdict")
+        inputs_passed = inputs_passed and passed is not False
+        for i, row in enumerate(rows):
+            try:
+                checks.append(_stored_check(row))
+            except (ValueError, TypeError, IndexError) as e:
+                name = row.get("name") if isinstance(row, dict) else None
+                raise ConfigError(f"{path}: check {i} ({name!r}): {e}")
     payload = _payload("report", {"inputs": list(args.inputs)}, checks, None)
     payload["passed"] = payload["passed"] and inputs_passed
     _emit_json(payload, args.out)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Conformal2dError, ConjugatingUnsupported
+from .errors import Conformal2dError, ConjugatingUnsupported, DomainError
 from .fields import QuadraticField, ScalarField, pullback_jets
-from .geometry import Vec2, Sym2, conj_orth, eig2
+from .geometry import ORTH_DEFECT_TOL, Orthogonal2, Vec2, Sym2, conj_orth, eig2
 from .mobius import AnalyticMap, MobiusMap, PolynomialMap
 from .ops import a_from_jet, b_from_jet
 from .report import CheckReport
@@ -79,31 +79,87 @@ class CovarianceErrors:
     eigen: float
 
 
-def covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2) -> CovarianceErrors:
-    mj, base_jet, v_jet = pullback_jets(u, m, x)
-    a_v = a_from_jet(v_jet)
-    jd = m.jacobian_of(mj)
-    a_u = a_from_jet(base_jet)
+def _jacobians(d1: np.ndarray, conjugating: bool) -> np.ndarray:
+    """Real Jacobians, shape (n, 2, 2), at the map derivatives d1."""
+    a, b = d1.real, d1.imag
+    return np.stack([a, b, b, -a] if conjugating else [a, -b, b, a], axis=1).reshape(-1, 2, 2)
 
-    matrix_err = (a_v - conj_orth(a_u, jd.orthogonal)).max_abs()
 
-    lhs_t = math.exp(v_jet.value) * a_v.as_array()
-    rhs_t = math.exp(base_jet.value) * (jd.matrix.T @ a_u.as_array() @ jd.matrix)
-    tensor_err = float(np.abs(lhs_t - rhs_t).max())
+def _covariance_block(m: MobiusMap, jets) -> list[CovarianceErrors]:
+    """The errors at a block of points from their pullback_jets triples.
 
-    ev, eu = eig2(a_v), eig2(a_u)
-    eigen_err = max(abs(ev.lambda1 - eu.lambda1), abs(ev.lambda2 - eu.lambda2))
-    return CovarianceErrors(matrix_err, tensor_err, eigen_err)
+    Each step runs block-wide, in the order the law takes for one point,
+    and raises what it raises at its first failing point.  The 2x2 products
+    are stacked matmuls, which round as the one-matrix products do.
+    """
+    a_v = [a_from_jet(vj) for _, _, vj in jets]
+    d1 = np.array([mj.d1 for mj, _, _ in jets], dtype=complex)
+    scale = []
+    for mj, _, _ in jets:
+        a, b = mj.d1.real, mj.d1.imag
+        conf = a * a + b * b
+        if conf <= 0.0:
+            raise DomainError("vanishing derivative: no conformal factor")
+        scale.append(math.sqrt(conf))
+    jac = _jacobians(d1, m.conjugating)
+    orth = jac / np.array(scale)[:, None, None]
+    orth_t = orth.transpose(0, 2, 1)
+    defect = np.abs(orth_t @ orth - np.eye(2)).max(axis=(1, 2))
+    for k in np.flatnonzero(~np.isfinite(orth).all(axis=(1, 2)) | (defect > ORTH_DEFECT_TOL)):
+        Orthogonal2.from_array(orth[k])  # raises
+    a_u = [a_from_jet(bj) for _, bj, _ in jets]
+    av, au = (np.array([[(s.a11, s.a12), (s.a12, s.a22)] for s in a]).reshape(-1, 2, 2)
+              for a in (a_v, a_u))
+    # A(u_psi) - O^T A(u) O, symmetrized as conj_orth does
+    r = orth_t @ au @ orth
+    diff = np.stack([av[:, 0, 0] - r[:, 0, 0], av[:, 0, 1] - 0.5 * (r[:, 0, 1] + r[:, 1, 0]),
+                     av[:, 1, 1] - r[:, 1, 1]], axis=1)
+    for k in np.flatnonzero(~np.isfinite(diff).all(axis=1)):
+        a_v[k] - Sym2(r[k, 0, 0], 0.5 * (r[k, 0, 1] + r[k, 1, 0]), r[k, 1, 1])  # raises
+    matrix = np.abs(diff).max(axis=1).tolist()
+    # e^{u_psi} A(u_psi) - e^{u o psi} J^T A(u) J
+    exp_v = np.array([math.exp(vj.value) for _, _, vj in jets])[:, None, None]
+    exp_u = np.array([math.exp(bj.value) for _, bj, _ in jets])[:, None, None]
+    tensor = np.abs(exp_v * av - exp_u * (jac.transpose(0, 2, 1) @ au @ jac))
+    out = []
+    for sv, su, me, te in zip(a_v, a_u, matrix, tensor.max(axis=(1, 2)).tolist()):
+        ev, eu = eig2(sv), eig2(su)
+        eigen = max(abs(ev.lambda1 - eu.lambda1), abs(ev.lambda2 - eu.lambda2))
+        out.append(CovarianceErrors(me, te, eigen))
+    return out
+
+
+def covariance_errors_at(u: ScalarField, m: MobiusMap, x,
+                         jets=None) -> CovarianceErrors | list[CovarianceErrors]:
+    """CovarianceErrors at the point x, or, given jets, at each point of the
+    block x, whose pullback_jets(u, m, p) triples jets holds in order.
+
+    The law is pointwise, so a block computes what its points would one at
+    a time, bit for bit, and raises what the first failing point raises.
+    """
+    if jets is None:
+        return _covariance_block(m, [pullback_jets(u, m, x)])[0]
+    if len(jets) != len(x):
+        raise ValueError(f"{len(x)} points but {len(jets)} jets")
+    try:
+        return _covariance_block(m, jets)
+    except (ArithmeticError, ValueError, Conformal2dError):
+        # steps run block-wide: replay the points one by one to raise
+        # what the first failing point raises on its own
+        for j in jets:
+            _covariance_block(m, [j])
+        raise
 
 
 def check_a_covariance(u: ScalarField, m: MobiusMap, pts, tol: float) -> dict[str, CheckReport]:
     """Matrix, tensor, and spectral forms of the covariance law on pts."""
     if not isinstance(m, MobiusMap):
         raise TypeError("covariance law holds for fractional linear maps only")
-    rows = [(p, covariance_errors_at(u, m, p)) for p in pts]
+    pts = list(pts)
+    errs = covariance_errors_at(u, m, pts, [pullback_jets(u, m, p) for p in pts])
     out = {}
     for name in ("matrix", "tensor", "eigen"):
-        labeled = [(f"({p.x1:.3g},{p.x2:.3g})", getattr(e, name)) for p, e in rows]
+        labeled = [(f"({p.x1:.3g},{p.x2:.3g})", getattr(e, name)) for p, e in zip(pts, errs)]
         out[name] = CheckReport.from_labeled(f"a-covariance-{name}", labeled, tol)
     return out
 
@@ -121,15 +177,17 @@ def check_trace_conformal(u: ScalarField, psi: AnalyticMap, pts, tol: float) -> 
     return CheckReport.from_labeled("trace-conformal", labeled, tol)
 
 
-def b_covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2) -> tuple[float, float]:
+def b_covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2,
+                           jets=None) -> tuple[float, float]:
     """Entry law and spectral invariance of the Hermitian form.
 
     B(u_psi)_zzbar(x) = B(u)_zzbar(psi(x)) and the off-diagonal entry picks
     up the unit phase psi'/conj(psi'): B(u_psi)_zz = phase * B(u)_zz o psi.
+    jets, if at hand, is pullback_jets(u, m, x).
     """
     if m.conjugating:
         raise ConjugatingUnsupported("B-covariance stated for holomorphic maps")
-    mj, base_jet, v_jet = pullback_jets(u, m, x)
+    mj, base_jet, v_jet = pullback_jets(u, m, x) if jets is None else jets
     b_v, b_u = b_from_jet(v_jet), b_from_jet(base_jet)
     phase = mj.d1 / mj.d1.conjugate()
     entry_err = max(abs(b_v.zzbar - b_u.zzbar), abs(b_v.zz - phase * b_u.zz))

@@ -26,6 +26,7 @@ from .fields import (
     exp_example,
     fd_jet,
     pullback,
+    pullback_jets,
 )
 from .geometry import Sym2, Vec2, eig2
 from .invariance import (
@@ -119,11 +120,15 @@ def standard_fields(rng: np.random.Generator) -> list[tuple[str, ScalarField]]:
     return fields
 
 
-def _usable_for(u: ScalarField, m: MobiusMap) -> Callable[[Vec2], bool]:
-    um = pullback(u, m)
+def _usable_for(u: ScalarField, m: MobiusMap,
+                sink: Optional[list] = None) -> Callable[[Vec2], bool]:
+    """Acceptance test for valid_points: the pullback jets evaluate.  Each
+    accepted point's pullback_jets triple is appended to sink, if given."""
 
     def ok(p: Vec2) -> bool:
-        um.jet(p)  # evaluates u.jet at m(p) as well
+        jets = pullback_jets(u, m, p)
+        if sink is not None:
+            sink.append(jets)
         return True
 
     return ok
@@ -167,8 +172,9 @@ def covariance_suite(seed: Optional[int] = None,
     }
     for mi, m in enumerate(maps):
         for fname, u in fields:
-            for p in valid_points(rng, 50, _usable_for(u, m)):
-                e = covariance_errors_at(u, m, p)
+            jets: list = []
+            pts = valid_points(rng, 50, _usable_for(u, m, jets))
+            for p, e in zip(pts, covariance_errors_at(u, m, pts, jets)):
                 label = f"map{mi}/{fname}@({p.x1:.3g},{p.x2:.3g})"
                 rows["matrix"].append((label, e.matrix))
                 rows["tensor"].append((label, e.tensor))
@@ -181,8 +187,10 @@ def covariance_suite(seed: Optional[int] = None,
     for mi in range(10):
         m = random_mobius(rng, conjugating=False)
         for fname, u in herm_fields:
-            for p in valid_points(rng, 30, _usable_for(u, m)):
-                e_diag, e_off = b_covariance_errors_at(u, m, p)
+            jets = []
+            pts = valid_points(rng, 30, _usable_for(u, m, jets))
+            for p, j in zip(pts, jets):
+                e_diag, e_off = b_covariance_errors_at(u, m, p, j)
                 label = f"hmap{mi}/{fname}@({p.x1:.3g},{p.x2:.3g})"
                 herm_rows.append((label, max(e_diag, e_off)))
     out.append(CheckReport.from_labeled("b-covariance", herm_rows, tol))

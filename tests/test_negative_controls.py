@@ -19,15 +19,40 @@ solver: +1e-4 on the v that the radial stepper hands to each node.
                                                 shifted v)
     boundary-ktilde-constant         1e-9       8.2e-15 (passes: it reads v'
                                                 alone)
+
+covariance: the 1/2 of the du x du term in a_from_jet raised by 1e-6.
+    row                              tolerance  observed
+    a-covariance-matrix              1e-8       0.2845
+    a-covariance-tensor              1e-8       6.064e-3
+    a-covariance-eigen               1e-8       0.3865
+    b-covariance                     1e-8       2.6e-12 (passes: B has its
+                                                own formula)
+
+covariance: conjugating maps given the holomorphic Jacobian in the stacked
+products, a rotation where the map reflects.
+    row                              tolerance  observed
+    a-covariance-matrix              1e-8       6.037e4
+    a-covariance-tensor              1e-8       1534
+    a-covariance-eigen               1e-8       1.5e-11 (passes: the
+                                                spectra need no Jacobian)
+
+covariance: the 1/2 of the u_z^2 term in b_from_jet raised by 1e-6.
+    row                              tolerance  observed
+    b-covariance                     1e-8       3.206e-3
+    a-covariance-*                   1e-8       3.3e-11 at most (pass)
 """
 
 import json
+import math
 
 import pytest
 
+import conformal2d.invariance as invariance
 import conformal2d.radial as radial
 import conformal2d.spheres as spheres
 from conformal2d.cli import main
+from conformal2d.geometry import Sym2
+from conformal2d.ops import Herm2
 from conformal2d.suites import solver_suite, spheres_suite
 
 KELVIN_SHIFT = 1e-6
@@ -95,3 +120,61 @@ def test_solver_suite_fails_a_shifted_node_value(node_shift_mutant, capsys):
 def test_solver_suite_passes_without_the_mutant(capsys):
     assert all(r.passed for r in solver_suite())
     assert main(["verify", "--suite", "solver"]) == 0
+
+
+HALF_SHIFT = 1e-6
+A_FROM_JET, B_FROM_JET, JACOBIANS = (invariance.a_from_jet, invariance.b_from_jet,
+                                     invariance._jacobians)
+
+
+def a_half_mutant(j):
+    """a_from_jet with (1/2 + HALF_SHIFT) du x du in place of (1/2) du x du."""
+    a = A_FROM_JET(j)
+    e, gx, gy = HALF_SHIFT * math.exp(-j.value), j.grad.x1, j.grad.x2
+    return a + Sym2(e * gx * gx, e * gx * gy, e * gy * gy)
+
+
+def b_half_mutant(j):
+    """b_from_jet with (1/2 + HALF_SHIFT) u_z^2 in place of (1/2) u_z^2."""
+    b = B_FROM_JET(j)
+    return Herm2(b.zzbar, b.zz + HALF_SHIFT * math.exp(-j.value) * j.u_z * j.u_z)
+
+
+def holomorphic_jacobians(d1, conjugating):
+    return JACOBIANS(d1, False)
+
+
+def covariance_verdict(tmp_path, capsys):
+    """verify --suite covariance: its exit code and its rows by name."""
+    out = tmp_path / "covariance.json"
+    code = main(["verify", "--suite", "covariance", "--out", str(out)])
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert payload["passed"] is (code == 0)
+    return code, {r["name"]: r for r in payload["checks"]}
+
+
+@pytest.mark.parametrize("name, mutant, failing", [
+    ("a_from_jet", a_half_mutant,
+     {"a-covariance-matrix": 0.2845, "a-covariance-tensor": 6.064e-3,
+      "a-covariance-eigen": 0.3865}),
+    ("_jacobians", holomorphic_jacobians,
+     {"a-covariance-matrix": 6.037e4, "a-covariance-tensor": 1534.0}),
+    ("b_from_jet", b_half_mutant, {"b-covariance": 3.206e-3}),
+], ids=["a-half", "holomorphic-jacobian", "b-half"])
+def test_covariance_suite_fails_each_mutant(monkeypatch, tmp_path, capsys,
+                                            name, mutant, failing):
+    monkeypatch.setattr(invariance, name, mutant)
+    code, rows = covariance_verdict(tmp_path, capsys)
+    assert code == 1
+    # observed errors against the tolerances in the table above
+    for row, err in failing.items():
+        assert rows[row]["passed"] is False
+        assert rows[row]["tolerance"] == 1e-8
+        assert rows[row]["max_error"] == pytest.approx(err, rel=1e-3)
+    assert all(r["passed"] for n, r in rows.items() if n not in failing)
+
+
+def test_covariance_suite_passes_without_a_mutant(tmp_path, capsys):
+    code, rows = covariance_verdict(tmp_path, capsys)
+    assert code == 0 and len(rows) == 4
