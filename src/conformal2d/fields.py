@@ -26,17 +26,29 @@ from .geometry import Vec2, Sym2, finite_coords
 from .mobius import AnalyticMap, ComposedMap, ExpMap, MapJet, MobiusMap, PolynomialMap
 from .radial import RadialProfile
 
+_setattr = object.__setattr__
+
 # |psi'| below this has no usable log-Jacobian: pullbacks refuse the point
 VANISHING_DERIVATIVE = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Jet2:
-    """Value, gradient, and Hessian of a scalar field at a point."""
+    """Value, gradient, and Hessian of a scalar field at a point.
+
+    Vec2 and Sym2 check the derivatives; the value is not checked here, and
+    a_from_jet and b_from_jet refuse an infinite one with OverflowError.
+    """
 
     value: float
     grad: Vec2
     hess: Sym2
+
+    def __init__(self, value: float, grad: Vec2, hess: Sym2) -> None:
+        # as the generated frozen __init__, without its per-call overhead
+        _setattr(self, "value", value)
+        _setattr(self, "grad", grad)
+        _setattr(self, "hess", hess)
 
     @property
     def u_z(self) -> complex:

@@ -13,6 +13,12 @@ import numpy as np
 
 ORTH_DEFECT_TOL = 1e-9
 
+# the value types below are frozen dataclasses with hand-written __init__s:
+# one inline finiteness test, fields set as the generated frozen __init__
+# sets them, and _require_finite only to raise
+_isfinite = math.isfinite
+_setattr = object.__setattr__
+
 
 def _require_finite(*values: float) -> None:
     for v in values:
@@ -32,15 +38,18 @@ def finite_coords(x1, x2) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Vec2:
     """Point or vector in the plane."""
 
     x1: float
     x2: float
 
-    def __post_init__(self) -> None:
-        _require_finite(self.x1, self.x2)
+    def __init__(self, x1: float, x2: float) -> None:
+        if not (_isfinite(x1) and _isfinite(x2)):
+            _require_finite(x1, x2)
+        _setattr(self, "x1", x1)
+        _setattr(self, "x2", x2)
 
     @classmethod
     def from_complex(cls, z: complex) -> "Vec2":
@@ -77,7 +86,7 @@ class Vec2:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sym2:
     """Symmetric 2x2 matrix stored by its three independent entries."""
 
@@ -85,8 +94,12 @@ class Sym2:
     a12: float
     a22: float
 
-    def __post_init__(self) -> None:
-        _require_finite(self.a11, self.a12, self.a22)
+    def __init__(self, a11: float, a12: float, a22: float) -> None:
+        if not (_isfinite(a11) and _isfinite(a12) and _isfinite(a22)):
+            _require_finite(a11, a12, a22)
+        _setattr(self, "a11", a11)
+        _setattr(self, "a12", a12)
+        _setattr(self, "a22", a22)
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
@@ -114,17 +127,20 @@ class Sym2:
         return max(abs(self.a11), abs(self.a12), abs(self.a22))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EigenPair:
     """Ordered eigenvalues lambda1 >= lambda2 of a symmetric 2x2 matrix."""
 
     lambda1: float
     lambda2: float
 
-    def __post_init__(self) -> None:
-        _require_finite(self.lambda1, self.lambda2)
-        if self.lambda1 < self.lambda2:
+    def __init__(self, lambda1: float, lambda2: float) -> None:
+        if not (_isfinite(lambda1) and _isfinite(lambda2)):
+            _require_finite(lambda1, lambda2)
+        if lambda1 < lambda2:
             raise ValueError("eigenvalues must be ordered lambda1 >= lambda2")
+        _setattr(self, "lambda1", lambda1)
+        _setattr(self, "lambda2", lambda2)
 
     @classmethod
     def sorted(cls, a: float, b: float) -> "EigenPair":

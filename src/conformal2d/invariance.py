@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Conformal2dError, ConjugatingUnsupported, DomainError
+from .errors import Conformal2dError, ConjugatingUnsupported
 from .fields import QuadraticField, ScalarField, pullback_jets
-from .geometry import ORTH_DEFECT_TOL, Orthogonal2, Vec2, Sym2, conj_orth, eig2
+from .geometry import ORTH_DEFECT_TOL, Vec2, Sym2, conj_orth, eig2
 from .mobius import AnalyticMap, MobiusMap, PolynomialMap
 from .ops import a_from_jet, b_from_jet
 from .report import CheckReport
@@ -36,19 +36,34 @@ def valid_points(rng: np.random.Generator, n: int, usable, r_in: float = 0.5,
     Sampling failures (excluded points, poles, overflow) are absorbed by
     resampling; determinism for a fixed generator state is preserved since
     the rejection sequence is itself a pure function of the stream.
+
+    Candidates are drawn one (r, t) row per candidate, each round as one
+    block of the candidates still needed: the numbers, in the order, that
+    one draw per candidate gives.  At most max_tries * n are drawn.  If
+    usable raises, the generator is rewound to just past the candidate it
+    raised on, so it ends where drawing one candidate at a time leaves it;
+    usable must not draw from rng itself.
     """
     out: list[Vec2] = []
-    tries = 0
+    left = max_tries * n
+    low, high = (r_in, 0.0), (r_out, 2.0 * math.pi)
     while len(out) < n:
-        tries += 1
-        if tries > max_tries * n:
+        k = min(n - len(out), left)
+        if k <= 0:
             raise Conformal2dError("could not sample enough admissible points")
-        p = annulus_points(rng, 1, r_in, r_out)[0]
-        try:
-            if usable(p):
-                out.append(p)
-        except (Conformal2dError, OverflowError):
-            continue
+        left -= k
+        state = rng.bit_generator.state
+        for i, (r, t) in enumerate(rng.uniform(low, high, (k, 2)).tolist()):
+            p = Vec2(r * math.cos(t), r * math.sin(t))
+            try:
+                if usable(p):
+                    out.append(p)
+            except (Conformal2dError, OverflowError):
+                continue
+            except BaseException:
+                rng.bit_generator.state = state
+                rng.uniform(low, high, (i + 1, 2))
+                raise
     return out
 
 
@@ -85,48 +100,69 @@ def _jacobians(d1: np.ndarray, conjugating: bool) -> np.ndarray:
     return np.stack([a, b, b, -a] if conjugating else [a, -b, b, a], axis=1).reshape(-1, 2, 2)
 
 
+def _entries(syms: list[Sym2]) -> np.ndarray:
+    """Columns a11, a12, a22 of a list of Sym2, shape (n, 3)."""
+    return np.array([(s.a11, s.a12, s.a22) for s in syms])
+
+
+def _eig_columns(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eig2's lambda1 and lambda2 of each row of _entries, bit for bit:
+    the same + - x elementwise and math.hypot on Python floats."""
+    mean = 0.5 * (s[:, 0] + s[:, 2])
+    half_gap = np.array(list(map(math.hypot, (0.5 * (s[:, 0] - s[:, 2])).tolist(),
+                                 s[:, 1].tolist())))
+    return mean + half_gap, mean - half_gap
+
+
 def _covariance_block(m: MobiusMap, jets) -> list[CovarianceErrors]:
     """The errors at a block of points from their pullback_jets triples.
 
     Each step runs block-wide, in the order the law takes for one point,
-    and raises what it raises at its first failing point.  The 2x2 products
-    are stacked matmuls, which round as the one-matrix products do.
+    and raises what it raises at its first failing point.  a_from_jet runs
+    per point, so that its errors are the block's; the rest is elementwise
+    + - x on arrays, math.exp and eig2's math.hypot mapped over Python
+    floats (numpy's may round differently), and stacked 2x2 matmuls, which
+    round as the one-matrix products do.
     """
-    a_v = [a_from_jet(vj) for _, _, vj in jets]
-    d1 = np.array([mj.d1 for mj, _, _ in jets], dtype=complex)
-    scale = []
-    for mj, _, _ in jets:
-        a, b = mj.d1.real, mj.d1.imag
-        conf = a * a + b * b
-        if conf <= 0.0:
-            raise DomainError("vanishing derivative: no conformal factor")
-        scale.append(math.sqrt(conf))
+    if not jets:
+        return []
+    mjs, bjs, vjs = zip(*jets)
+    a_v = [a_from_jet(vj) for vj in vjs]
+    d1 = np.array([mj.d1 for mj in mjs], dtype=complex)
+    # the conformal factor and orthogonal part as m.jacobian_of forms them,
+    # finiteness first so that nothing non-finite is divided
+    with np.errstate(over="ignore"):
+        conf = d1.real * d1.real + d1.imag * d1.imag
+    for k in np.flatnonzero(~np.isfinite(d1) | (conf <= 0.0)):
+        m.jacobian_of(mjs[k])  # raises
     jac = _jacobians(d1, m.conjugating)
-    orth = jac / np.array(scale)[:, None, None]
+    orth = jac / np.sqrt(conf)[:, None, None]
     orth_t = orth.transpose(0, 2, 1)
     defect = np.abs(orth_t @ orth - np.eye(2)).max(axis=(1, 2))
     for k in np.flatnonzero(~np.isfinite(orth).all(axis=(1, 2)) | (defect > ORTH_DEFECT_TOL)):
-        Orthogonal2.from_array(orth[k])  # raises
-    a_u = [a_from_jet(bj) for _, bj, _ in jets]
-    av, au = (np.array([[(s.a11, s.a12), (s.a12, s.a22)] for s in a]).reshape(-1, 2, 2)
-              for a in (a_v, a_u))
+        m.jacobian_of(mjs[k])  # raises
+    a_u = [a_from_jet(bj) for bj in bjs]
+    sv, su = _entries(a_v), _entries(a_u)
+    av, au = sv[:, [0, 1, 1, 2]].reshape(-1, 2, 2), su[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
     # A(u_psi) - O^T A(u) O, symmetrized as conj_orth does
     r = orth_t @ au @ orth
     diff = np.stack([av[:, 0, 0] - r[:, 0, 0], av[:, 0, 1] - 0.5 * (r[:, 0, 1] + r[:, 1, 0]),
                      av[:, 1, 1] - r[:, 1, 1]], axis=1)
     for k in np.flatnonzero(~np.isfinite(diff).all(axis=1)):
         a_v[k] - Sym2(r[k, 0, 0], 0.5 * (r[k, 0, 1] + r[k, 1, 0]), r[k, 1, 1])  # raises
-    matrix = np.abs(diff).max(axis=1).tolist()
+    matrix = np.abs(diff).max(axis=1)
     # e^{u_psi} A(u_psi) - e^{u o psi} J^T A(u) J
-    exp_v = np.array([math.exp(vj.value) for _, _, vj in jets])[:, None, None]
-    exp_u = np.array([math.exp(bj.value) for _, bj, _ in jets])[:, None, None]
-    tensor = np.abs(exp_v * av - exp_u * (jac.transpose(0, 2, 1) @ au @ jac))
-    out = []
-    for sv, su, me, te in zip(a_v, a_u, matrix, tensor.max(axis=(1, 2)).tolist()):
-        ev, eu = eig2(sv), eig2(su)
-        eigen = max(abs(ev.lambda1 - eu.lambda1), abs(ev.lambda2 - eu.lambda2))
-        out.append(CovarianceErrors(me, te, eigen))
-    return out
+    exp_v = np.array(list(map(math.exp, [vj.value for vj in vjs])))[:, None, None]
+    exp_u = np.array(list(map(math.exp, [bj.value for bj in bjs])))[:, None, None]
+    tensor = np.abs(exp_v * av - exp_u * (jac.transpose(0, 2, 1) @ au @ jac)).max(axis=(1, 2))
+    # eig2 of both sides, with the check EigenPair makes
+    with np.errstate(over="ignore", invalid="ignore"):
+        (v1, v2), (u1, u2) = _eig_columns(sv), _eig_columns(su)
+        eigen = np.maximum(np.abs(v1 - u1), np.abs(v2 - u2))
+    finite = np.isfinite(v1) & np.isfinite(v2) & np.isfinite(u1) & np.isfinite(u2)
+    for k in np.flatnonzero(~finite):
+        eig2(a_v[k]), eig2(a_u[k])  # raises
+    return list(map(CovarianceErrors, matrix.tolist(), tensor.tolist(), eigen.tolist()))
 
 
 def covariance_errors_at(u: ScalarField, m: MobiusMap, x,

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleError, DomainError
-from .geometry import Vec2, Orthogonal2
+from .geometry import Vec2, Orthogonal2, _require_finite
 
 POLE_GUARD = 1e-14
 CRITICAL_GUARD = 1e-6
@@ -81,6 +81,8 @@ class AnalyticMap:
     def jacobian_of(self, j: MapJet) -> JacobianData:
         """jacobian() from a jet of this map that is already at hand."""
         a, b = j.d1.real, j.d1.imag
+        # before dividing by sqrt(conf), which turns an infinite d1 into NaN
+        _require_finite(a, b)
         if self.conjugating:
             mat = np.array([[a, b], [b, -a]])
             det = -(a * a + b * b)

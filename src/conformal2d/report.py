@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one named check: pass iff max_error <= tolerance.
+    """Outcome of one named check: pass iff max_error <= tolerance, which
+    construction enforces (ValueError for any other passed).
 
     witnesses holds the worst offending sample points as (label, error)
     pairs; extras carries check-specific numbers worth persisting.
@@ -19,6 +20,13 @@ class CheckReport:
     passed: bool
     witnesses: tuple = ()
     extras: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.passed, bool):
+            raise ValueError(f"passed {self.passed!r} is not a bool")
+        if self.passed != (self.max_error <= self.tolerance):
+            raise ValueError(f"passed {self.passed!r} disagrees with max_error "
+                             f"{self.max_error!r} <= tolerance {self.tolerance!r}")
 
     @classmethod
     def from_errors(cls, name: str, errors, tolerance: float,
