@@ -267,10 +267,18 @@ class LiouvilleField(ScalarField):
         m = 1.0 + (w * w.conjugate()).real
         wc = w.conjugate()
         q = d2 / d1
-        value = math.log(8.0) + 2.0 * math.log(abs(d1)) - 2.0 * math.log(m)
+        if 2.0 * m == math.inf:
+            # 2 m overflows, and with it 2 conj(w) f' for f = e^z, before m does:
+            # with e = |w|^-2, ln m = 2 ln|w| + log1p(e), conj(w) / m = (1 / w) / (1 + e)
+            e = abs(1.0 / w) ** 2
+            wc, m, log_m = 1.0 / w, 1.0 + e, 2.0 * math.log(abs(w)) + math.log1p(e)
+            u_zzbar = -2.0 * e * abs(wc * d1 / m) ** 2
+        else:
+            log_m = math.log(m)
+            u_zzbar = -2.0 * (d1 * d1.conjugate()).real / (m * m)
+        value = math.log(8.0) + 2.0 * math.log(abs(d1)) - 2.0 * log_m
         u_z = q - 2.0 * wc * d1 / m
         u_zz = (d3 / d1 - q * q) - 2.0 * wc * d2 / m + 2.0 * (wc * d1 / m) ** 2
-        u_zzbar = -2.0 * (d1 * d1.conjugate()).real / (m * m)
         return Jet2.from_wirtinger(value, u_z, u_zz, u_zzbar)
 
     def values(self, x1, x2) -> np.ndarray:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ORTH_DEFECT_TOL = 1e-9
+_EYE2 = np.eye(2)
 
 # the value types below are frozen dataclasses with hand-written __init__s:
 # one inline finiteness test, fields set as the generated frozen __init__
@@ -139,8 +140,10 @@ class EigenPair:
             _require_finite(lambda1, lambda2)
         if lambda1 < lambda2:
             raise ValueError("eigenvalues must be ordered lambda1 >= lambda2")
-        _setattr(self, "lambda1", lambda1)
-        _setattr(self, "lambda2", lambda2)
+        # eig2 builds one per call: plain __dict__ stores, as object.__setattr__ makes
+        d = self.__dict__
+        d["lambda1"] = lambda1
+        d["lambda2"] = lambda2
 
     @classmethod
     def sorted(cls, a: float, b: float) -> "EigenPair":
@@ -185,12 +188,29 @@ class Orthogonal2:
         return np.array([[self.o11, self.o12], [self.o21, self.o22]])
 
     def defect(self) -> float:
-        m = np.array([[self.o11, self.o12], [self.o21, self.o22]])
-        return float(np.abs(m.T @ m - np.eye(2)).max())
+        return float(_orth_defect(self.as_array()))
 
     @property
     def det(self) -> float:
         return self.o11 * self.o22 - self.o12 * self.o21
+
+
+def _orth_defect(o: np.ndarray):
+    """max |O^T O - I| of a 2x2 array, or of each 2x2 of a stack."""
+    return np.abs(o.swapaxes(-1, -2) @ o - _EYE2).max(axis=(-2, -1))
+
+
+def _hypot_each(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot elementwise on Python floats; numpy's may round differently."""
+    return np.array(list(map(math.hypot, x.tolist(), y.tolist())))
+
+
+def _eig_pair(a11, a12, a22, hypot=math.hypot):
+    """(lambda1, lambda2) = mean +/- hypot((a11 - a22)/2, a12) of one
+    symmetric 2x2, or, with hypot=_hypot_each, of entry arrays."""
+    mean = 0.5 * (a11 + a22)
+    half_gap = hypot(0.5 * (a11 - a22), a12)
+    return mean + half_gap, mean - half_gap
 
 
 def eig2(m: Sym2) -> EigenPair:
@@ -199,13 +219,16 @@ def eig2(m: Sym2) -> EigenPair:
     The pair is mean +/- half-gap with half-gap hypot((a11-a22)/2, a12),
     which is exact to roundoff and never produces complex output.
     """
-    mean = 0.5 * (m.a11 + m.a22)
-    half_gap = math.hypot(0.5 * (m.a11 - m.a22), m.a12)
-    return EigenPair(mean + half_gap, mean - half_gap)
+    return EigenPair(*_eig_pair(m.a11, m.a12, m.a22))
+
+
+def _conj_entries(a: np.ndarray, o: np.ndarray):
+    """Arrays of the entries a11, a12, a22 of O^T A O, symmetrized against
+    roundoff, one per 2x2 pair of the stacks a and o, or of the one pair."""
+    r = (o.swapaxes(-1, -2) @ a @ o).reshape(-1, 4).T
+    return r[0], 0.5 * (r[1] + r[2]), r[3]
 
 
 def conj_orth(m: Sym2, o: Orthogonal2) -> Sym2:
     """Orthogonal conjugation O^T M O, symmetrized against roundoff."""
-    om = o.as_array()
-    r = om.T @ m.as_array() @ om
-    return Sym2(r[0, 0], 0.5 * (r[0, 1] + r[1, 0]), r[1, 1])
+    return Sym2(*(x[0] for x in _conj_entries(m.as_array(), o.as_array())))

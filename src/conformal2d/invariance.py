@@ -16,8 +16,10 @@ import numpy as np
 
 from .errors import Conformal2dError, ConjugatingUnsupported
 from .fields import QuadraticField, ScalarField, pullback_jets
-from .geometry import ORTH_DEFECT_TOL, Vec2, Sym2, conj_orth, eig2
-from .mobius import AnalyticMap, MobiusMap, PolynomialMap
+from .geometry import (ORTH_DEFECT_TOL, Vec2, Sym2, _conj_entries, _eig_pair, _hypot_each,
+                       _orth_defect, conj_orth, eig2)
+from .mobius import (AnalyticMap, MobiusMap, PolynomialMap, _conformal_factors, _jacobians,
+                     _orthogonal_parts)
 from .ops import a_from_jet, b_from_jet
 from .report import CheckReport
 
@@ -94,74 +96,54 @@ class CovarianceErrors:
     eigen: float
 
 
-def _jacobians(d1: np.ndarray, conjugating: bool) -> np.ndarray:
-    """Real Jacobians, shape (n, 2, 2), at the map derivatives d1."""
-    a, b = d1.real, d1.imag
-    return np.stack([a, b, b, -a] if conjugating else [a, -b, b, a], axis=1).reshape(-1, 2, 2)
-
-
 def _entries(syms: list[Sym2]) -> np.ndarray:
     """Columns a11, a12, a22 of a list of Sym2, shape (n, 3)."""
     return np.array([(s.a11, s.a12, s.a22) for s in syms])
 
 
-def _eig_columns(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eig2's lambda1 and lambda2 of each row of _entries, bit for bit:
-    the same + - x elementwise and math.hypot on Python floats."""
-    mean = 0.5 * (s[:, 0] + s[:, 2])
-    half_gap = np.array(list(map(math.hypot, (0.5 * (s[:, 0] - s[:, 2])).tolist(),
-                                 s[:, 1].tolist())))
-    return mean + half_gap, mean - half_gap
-
-
 def _covariance_block(m: MobiusMap, jets) -> list[CovarianceErrors]:
     """The errors at a block of points from their pullback_jets triples.
 
-    Each step runs block-wide, in the order the law takes for one point,
-    and raises what it raises at its first failing point.  a_from_jet runs
-    per point, so that its errors are the block's; the rest is elementwise
-    + - x on arrays, math.exp and eig2's math.hypot mapped over Python
-    floats (numpy's may round differently), and stacked 2x2 matmuls, which
-    round as the one-matrix products do.
+    Each step runs block-wide on the one-point route's formulas: the
+    Jacobian, orthogonal part and defect of jacobian_of and Orthogonal2,
+    conj_orth's symmetrized O^T A O and eig2's eigenpair, with math.exp and
+    math.hypot mapped over Python floats (numpy's may round differently).
+    a_from_jet runs per point, so that its errors are the block's.  Two
+    checks raise the one-point route's errors: after the Jacobian step,
+    jacobian_of at each flagged point, and after the operator step, conj_orth's
+    Sym2, the difference and eig2 at each flagged point.  A later point may
+    raise first; covariance_errors_at then replays the points one by one.
     """
     if not jets:
         return []
     mjs, bjs, vjs = zip(*jets)
     a_v = [a_from_jet(vj) for vj in vjs]
     d1 = np.array([mj.d1 for mj in mjs], dtype=complex)
-    # the conformal factor and orthogonal part as m.jacobian_of forms them,
-    # finiteness first so that nothing non-finite is divided
-    with np.errstate(over="ignore"):
-        conf = d1.real * d1.real + d1.imag * d1.imag
-    for k in np.flatnonzero(~np.isfinite(d1) | (conf <= 0.0)):
-        m.jacobian_of(mjs[k])  # raises
-    jac = _jacobians(d1, m.conjugating)
-    orth = jac / np.sqrt(conf)[:, None, None]
-    orth_t = orth.transpose(0, 2, 1)
-    defect = np.abs(orth_t @ orth - np.eye(2)).max(axis=(1, 2))
-    for k in np.flatnonzero(~np.isfinite(orth).all(axis=(1, 2)) | (defect > ORTH_DEFECT_TOL)):
+    with np.errstate(all="ignore"):
+        conf = _conformal_factors(d1)
+        jac = _jacobians(d1, m.conjugating)
+        orth = _orthogonal_parts(jac, conf)
+        # NaN or inf wherever d1 is not finite or conf not positive
+        defect = _orth_defect(orth)
+    for k in np.flatnonzero(~(defect <= ORTH_DEFECT_TOL)):
         m.jacobian_of(mjs[k])  # raises
     a_u = [a_from_jet(bj) for bj in bjs]
     sv, su = _entries(a_v), _entries(a_u)
     av, au = sv[:, [0, 1, 1, 2]].reshape(-1, 2, 2), su[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
-    # A(u_psi) - O^T A(u) O, symmetrized as conj_orth does
-    r = orth_t @ au @ orth
-    diff = np.stack([av[:, 0, 0] - r[:, 0, 0], av[:, 0, 1] - 0.5 * (r[:, 0, 1] + r[:, 1, 0]),
-                     av[:, 1, 1] - r[:, 1, 1]], axis=1)
-    for k in np.flatnonzero(~np.isfinite(diff).all(axis=1)):
-        a_v[k] - Sym2(r[k, 0, 0], 0.5 * (r[k, 0, 1] + r[k, 1, 0]), r[k, 1, 1])  # raises
+    with np.errstate(all="ignore"):
+        # A(u_psi) - O^T A(u) O, and the eigenpairs of both sides
+        r = _conj_entries(au, orth)
+        diff = sv - np.stack(r, axis=1)
+        (v1, v2), (u1, u2) = (_eig_pair(*s.T, hypot=_hypot_each) for s in (sv, su))
+        eigen = np.maximum(np.abs(v1 - u1), np.abs(v2 - u2))
+    for k in np.flatnonzero(~np.isfinite(np.column_stack([diff, v1, v2, u1, u2])).all(axis=1)):
+        a_v[k] - Sym2(r[0][k], r[1][k], r[2][k])  # raises, or else eig2 does
+        eig2(a_v[k]), eig2(a_u[k])
     matrix = np.abs(diff).max(axis=1)
     # e^{u_psi} A(u_psi) - e^{u o psi} J^T A(u) J
     exp_v = np.array(list(map(math.exp, [vj.value for vj in vjs])))[:, None, None]
     exp_u = np.array(list(map(math.exp, [bj.value for bj in bjs])))[:, None, None]
     tensor = np.abs(exp_v * av - exp_u * (jac.transpose(0, 2, 1) @ au @ jac)).max(axis=(1, 2))
-    # eig2 of both sides, with the check EigenPair makes
-    with np.errstate(over="ignore", invalid="ignore"):
-        (v1, v2), (u1, u2) = _eig_columns(sv), _eig_columns(su)
-        eigen = np.maximum(np.abs(v1 - u1), np.abs(v2 - u2))
-    finite = np.isfinite(v1) & np.isfinite(v2) & np.isfinite(u1) & np.isfinite(u2)
-    for k in np.flatnonzero(~finite):
-        eig2(a_v[k]), eig2(a_u[k])  # raises
     return list(map(CovarianceErrors, matrix.tolist(), tensor.tolist(), eigen.tolist()))
 
 

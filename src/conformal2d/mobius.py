@@ -10,7 +10,6 @@ Hessians of log-Jacobian terms need them.
 from __future__ import annotations
 
 import cmath
-import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -80,20 +79,32 @@ class AnalyticMap:
 
     def jacobian_of(self, j: MapJet) -> JacobianData:
         """jacobian() from a jet of this map that is already at hand."""
-        a, b = j.d1.real, j.d1.imag
         # before dividing by sqrt(conf), which turns an infinite d1 into NaN
-        _require_finite(a, b)
-        if self.conjugating:
-            mat = np.array([[a, b], [b, -a]])
-            det = -(a * a + b * b)
-        else:
-            mat = np.array([[a, -b], [b, a]])
-            det = a * a + b * b
-        conf = a * a + b * b
+        _require_finite(j.d1.real, j.d1.imag)
+        conf = _conformal_factors(j.d1)
         if conf <= 0.0:
             raise DomainError("vanishing derivative: no conformal factor")
-        orth = Orthogonal2.from_array(mat / math.sqrt(conf))
-        return JacobianData(mat, det, conf, orth)
+        mat = _jacobians(j.d1, self.conjugating)
+        orth = Orthogonal2.from_array(_orthogonal_parts(mat, conf))
+        return JacobianData(mat, -conf if self.conjugating else conf, conf, orth)
+
+
+def _conformal_factors(d1):
+    """|d1|^2, the conformal factor, of one map derivative or of an array."""
+    return d1.real * d1.real + d1.imag * d1.imag
+
+
+def _jacobians(d1, conjugating: bool) -> np.ndarray:
+    """Real Jacobians at one map derivative d1, shape (2, 2), or at a 1-D array, (n, 2, 2)."""
+    a, b = np.real(d1), np.imag(d1)
+    rows = np.array([a, b, b, -a] if conjugating else [a, -b, b, a])
+    return rows.T.reshape(np.shape(d1) + (2, 2))
+
+
+def _orthogonal_parts(jac: np.ndarray, conf) -> np.ndarray:
+    """O = conf^{-1/2} J of a Jacobian or of each of a stack, rounded as math's
+    sqrt and division round."""
+    return jac / np.sqrt(conf)[..., None, None]
 
 
 @dataclass(frozen=True)

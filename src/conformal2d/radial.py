@@ -26,11 +26,14 @@ from .geometry import Vec2
 from .ops import VALUE_OVERFLOW, ConeIndex, SymmetricFunction, cone_margin
 from .report import CheckReport, worst_witnesses
 
-_FMT = "%.17g"
 
-
-def _fmt(x: float) -> str:
-    return _FMT % x
+def _write_csv(path, header: list[str], columns) -> None:
+    """One header row, then one row of %.17g entries per index of columns."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in zip(*columns):
+            w.writerow(["%.17g" % x for x in row])
 
 
 @dataclass(frozen=True)
@@ -86,12 +89,7 @@ class RadialProfile:
 
     def to_csv(self, path) -> None:
         cols = self.columns()
-        data = [getattr(self, c) for c in cols]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(cols)
-            for row in zip(*data):
-                w.writerow([_fmt(x) for x in row])
+        _write_csv(path, cols, [getattr(self, c) for c in cols])
 
     @classmethod
     def from_csv(cls, path) -> "RadialProfile":
@@ -343,12 +341,9 @@ class RadialSolveResult:
     steps: StepCounts
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "v", "dv", "lambda1", "lambda2", "residual"])
-            for row in zip(self.profile.r, self.profile.v, self.profile.dv,
-                           self.lambda1, self.lambda2, self.residual):
-                w.writerow([_fmt(x) for x in row])
+        p = self.profile
+        _write_csv(path, ["r", "v", "dv", "lambda1", "lambda2", "residual"],
+                   [p.r, p.v, p.dv, self.lambda1, self.lambda2, self.residual])
 
     @property
     def max_residual(self) -> float:
@@ -574,55 +569,35 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
     rows: list[tuple[float, float, float, float, float, float]] = []
     exit_radius: Optional[float] = None
     steps = StepCounts()
+    exp = math.exp
 
-    def node_lambda(rt: float, v: float, w: float) -> tuple[float, float, float]:
+    def record(rt: float, v: float, w: float) -> None:
         if rt == 0.0:
-            return mu, mu, abs(f.fn(mu, mu) - 1.0)
-        lam2 = math.exp(-v) * (-w / rt - 0.25 * w * w)
-        lam1, residual = solve(lam2, rt)
-        return lam1, lam2, residual
-
-    def record(rt: float, v: float, w: float) -> bool:
-        nonlocal exit_radius
-        try:
-            lam1, lam2, residual = node_lambda(rt, v, w)
-        except _ConeExitSignal as sig:
-            exit_radius = sig.radius
-            return False
-        if rt > 0.0 and cone_margin(lam1, lam2, cone) <= 0.0:
-            exit_radius = rt
-            return False
-        rows.append((rt, v, w, lam1, lam2, residual))
-        return True
-
-    series_nodes = r_out[r_out <= cfg.r_series]
-    main_nodes = r_out[r_out > cfg.r_series]
-    ok = True
-    for rt in series_nodes:
-        if not record(rt, v0 + 0.5 * c2 * rt * rt, c2 * rt):
-            ok = False
-            break
-
-    if ok and main_nodes.size:
-        exp = math.exp
-
-        def rhs(r: float, v: float, w: float) -> tuple[float, float]:
-            if abs(v) > VALUE_OVERFLOW:
-                raise StepFailure(f"v overflow at r = {r:.6g}")
-            lam1, _ = solve(exp(-v) * (-w / r - 0.25 * w * w), r)
-            return w, 0.25 * w * w - lam1 * exp(v)
-
-        def collect(rt: float, v: float, w: float) -> None:
-            if not record(rt, v, w):
+            lam1, lam2, residual = mu, mu, abs(f.fn(mu, mu) - 1.0)
+        else:
+            lam2 = exp(-v) * (-w / rt - 0.25 * w * w)
+            lam1, residual = solve(lam2, rt)
+            if cone_margin(lam1, lam2, cone) <= 0.0:
                 raise _ConeExitSignal(rt)
+        rows.append((rt, v, w, lam1, lam2, residual))
 
-        rs = cfg.r_series
-        try:
+    def rhs(r: float, v: float, w: float) -> tuple[float, float]:
+        if abs(v) > VALUE_OVERFLOW:
+            raise StepFailure(f"v overflow at r = {r:.6g}")
+        lam1, _ = solve(exp(-v) * (-w / r - 0.25 * w * w), r)
+        return w, 0.25 * w * w - lam1 * exp(v)
+
+    # the first node or stage radius whose eigenvalues leave the cone ends the solve
+    rs = cfg.r_series
+    main_nodes = r_out[r_out > rs]
+    try:
+        for rt in r_out[r_out <= rs]:
+            record(rt, v0 + 0.5 * c2 * rt * rt, c2 * rt)
+        if main_nodes.size:
             _integrate_to_nodes(rhs, rs, v0 + 0.5 * c2 * rs * rs, c2 * rs,
-                                main_nodes.tolist(), cfg, collect, steps)
-        except _ConeExitSignal as sig:
-            if exit_radius is None:
-                exit_radius = sig.radius
+                                main_nodes.tolist(), cfg, record, steps)
+    except _ConeExitSignal as sig:
+        exit_radius = sig.radius
 
     data = np.array(rows) if rows else np.empty((0, 6))
     if data.shape[0] < 2:

@@ -12,7 +12,7 @@ import conformal2d.invariance as invariance
 import conformal2d.suites as suites
 from conformal2d import MobiusMap, ScalarField, eig2, pullback, random_mobius
 from conformal2d.fields import pullback_jets
-from conformal2d.geometry import conj_orth
+from conformal2d.geometry import Sym2, conj_orth
 from conformal2d.invariance import CovarianceErrors, valid_points
 from conformal2d.report import CheckReport
 
@@ -196,4 +196,106 @@ def test_a_raising_jacobian_is_reported_for_its_point(d1):
     jets[2] = (bad, *jets[2][1:])
     want = outcome(lambda: m.jacobian_of(bad))
     assert want[0] == "raised"
+    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
+
+
+# -- the operator step's failures: huge finite A at chosen points --------------------
+
+HUGE = 1.7976931348623157e308
+KINDS = ("conjugated", "difference", "eigen")
+
+
+def huge_pair(kind, m, mj):
+    """(A(u_psi), A(u o psi)) that fail the one-point route at the step
+    kind names; None keeps a_from_jet's own value."""
+    if kind == "conjugated":
+        # O^T A(u) O overflows, so conj_orth's Sym2 raises
+        return None, Sym2(HUGE, HUGE, HUGE)
+    if kind == "eigen":
+        # the matrices agree, but a11 + a22 overflows in eig2
+        return Sym2(1e308, 0.0, 1e308), Sym2(1e308, 0.0, 1e308)
+    # A(u_psi) - O^T A(u) O overflows in its largest entry, while both
+    # eigenpairs stay finite; rebuilding the conjugated entries from the
+    # difference would give that entry the other sign
+    a_u = Sym2(0.0, 0.8e308, 0.0)
+    r = conj_orth(a_u, m.jacobian_of(mj).orthogonal)
+    entries = [r.a11, r.a12, r.a22]
+    j = max(range(3), key=lambda i: abs(entries[i]))
+    a_v = [0.0, 0.0, 0.0]
+    a_v[j] = -math.copysign(1.3e308, entries[j])
+    return Sym2(*a_v), a_u
+
+
+def patch_huge(monkeypatch, m, jets, failing):
+    original = invariance.a_from_jet
+    table = []
+    for k, kind in failing:
+        for which, a in zip((2, 1), huge_pair(kind, m, jets[k][0])):
+            if a is not None:
+                table.append((jets[k][which], a))
+
+    def a_from_jet(j):
+        for target, a in table:
+            if j == target:
+                return a
+        return original(j)
+
+    monkeypatch.setattr(invariance, "a_from_jet", a_from_jet)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_operator_failure_raises_as_the_point_does(monkeypatch, kind):
+    u, m, pts, jets = sampled_block(4)
+    patch_huge(monkeypatch, m, jets, [(2, kind)])
+    want = outcome(lambda: ref_covariance_errors_at(u, m, pts[2]))
+    assert want[0] == "raised" and want[1] is ValueError
+    # each pair fails where its name says
+    mj, base_jet, v_jet = jets[2]
+    a_v, a_u = invariance.a_from_jet(v_jet), invariance.a_from_jet(base_jet)
+    conjugated = outcome(lambda: conj_orth(a_u, m.jacobian_of(mj).orthogonal))
+    assert (conjugated == want) is (kind == "conjugated")
+    assert (outcome(lambda: a_v - conjugated[1]) == want) is (kind == "difference")
+    assert (outcome(lambda: eig2(a_v)) == want) is (kind == "eigen")
+    if kind == "difference":
+        assert outcome(lambda: (eig2(a_v), eig2(a_u)))[0] == "ok"
+    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts[2])) == want
+    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts[2:3], jets[2:3])) == want
+    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("failing", [
+    # (point, kind); the first listed is not the first to fail
+    [(7, "eigen"), (4, "conjugated")],
+    [(6, "conjugated"), (3, "eigen")],
+    [(9, "conjugated"), (5, "difference"), (8, "eigen")],
+    [(10, "difference"), (1, "eigen"), (2, "conjugated")],
+])
+def test_a_block_with_operator_failures_raises_the_first(monkeypatch, failing):
+    u, m, pts, jets = sampled_block()
+    patch_huge(monkeypatch, m, jets, failing)
+    want = outcome(lambda: [ref_covariance_errors_at(u, m, p) for p in pts])
+    first = min(k for k, _ in failing)
+    assert want == outcome(lambda: ref_covariance_errors_at(u, m, pts[first]))
+    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
+    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts[:first], jets[:first])) == (
+        "ok", [ref_covariance_errors_at(u, m, p) for p in pts[:first]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_earlier_step_failing_later_in_the_block_is_replayed(monkeypatch):
+    # point 8's a_from_jet raises before the operator step reaches point 5
+    u, m, pts, jets = sampled_block()
+    patch_huge(monkeypatch, m, jets, [(5, "eigen")])
+    patched = invariance.a_from_jet
+
+    def a_from_jet(j):
+        if j == jets[8][2]:
+            raise OverflowError("point 8")
+        return patched(j)
+
+    monkeypatch.setattr(invariance, "a_from_jet", a_from_jet)
+    want = outcome(lambda: [ref_covariance_errors_at(u, m, p) for p in pts])
+    assert want == outcome(lambda: ref_covariance_errors_at(u, m, pts[5]))
     assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want

@@ -414,3 +414,20 @@ def test_bubble_values_far_branch_leaves_other_samples_bit_for_bit():
     d = 1e160 - 0.2
     want = 2.0 * math.log(8.0 * 1.3) - 2.0 * (math.log(8.0) + 2.0 * math.log(math.hypot(d, 0.1)))
     assert got_far[2] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("x2", [0.3, -1.2])
+@pytest.mark.parametrize("x1", [354.8, 354.95, 355.0, 356.0, 500.0, 700.0])
+def test_liouville_exp_jet_stays_finite_where_the_square_overflows(x1, x2):
+    # for w = e^z, 2 conj(w) w' overflows from x1 = 354.55 on and 1 + |w|^2
+    # from 354.9; the jet then forms its logarithm and quotients from |w|^-2
+    u = exp_example()
+    j = u.jet((x1, x2))
+    assert j.value == pytest.approx(u.values(np.array([x1]), np.array([x2]))[0], rel=1e-14)
+    # u = ln 8 + 2 x1 - 2 ln(1 + e^{2 x1}) -> ln 8 - 2 x1: gradient (-2, 0), Hessian 0
+    assert [j.grad.x1, j.grad.x2] == pytest.approx([-2.0, 0.0], abs=1e-12)
+    assert [j.hess.a11, j.hess.a12, j.hess.a22] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+    fd = fd_jet(u, (x1, x2))
+    assert [j.grad.x1, j.grad.x2] == pytest.approx([fd.grad.x1, fd.grad.x2], abs=1e-8)
+    assert [j.hess.a11, j.hess.a12, j.hess.a22] == pytest.approx(
+        [fd.hess.a11, fd.hess.a12, fd.hess.a22], abs=1e-6)
