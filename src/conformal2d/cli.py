@@ -28,7 +28,7 @@ from .errors import ConfigError, Conformal2dError
 from .fields import Bubble, field_from_dict
 from .geometry import Vec2
 from .ops import resolve_symmetric_function
-from .radial import RadialProfile, SolveConfig, inf_envelope, ode_solve
+from .radial import RadialProfile, SolveConfig, _write_csv, inf_envelope, ode_solve
 from .report import CheckReport
 from .spheres import critical_lambda, slack_stats
 from .suites import SUITES, run_suites
@@ -39,11 +39,14 @@ SCHEMA = "conformal2d/1"
 GRID_MAX_NODES = 1_000_000
 # numerical failures: exit 2 with one "error:" line, never exit 1
 _ERRORS = (Conformal2dError, ArithmeticError, ValueError)
-# flags that take a float, or (--x) a point x1,x2; argparse reads a value
-# such as "-inf", "-1e3" or "-0.5,0" as an option string, so main() joins it
-# to its flag as "--tol=-inf"
-_FLOAT_FLAGS = frozenset({"--tol", "--eps", "--v0", "--cone", "--lam-max"})
-_POINT_FLAGS = frozenset({"--x"})
+# flags that take a float, a point x1,x2 or a grid r0:r1:n, each keyed to
+# the separator after its first number; argparse reads a value such as
+# "-inf", "-0.5,0" or "-1:1:2" as an option string, so main() joins it to its
+# flag as "--tol=-inf"
+_NUMERIC_FLAGS = {"--tol": None, "--eps": None, "--v0": None, "--cone": None,
+                  "--lam-max": None, "--x": ",", "--grid": ":"}
+# non-finite floats as _emit_json spells them, keyed by repr
+_SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -89,7 +92,7 @@ def _spell_nonfinite(obj):
     if isinstance(obj, (list, tuple)):
         return [_spell_nonfinite(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
-        return {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[repr(obj)]
+        return _SPELLED[repr(obj)]
     return obj
 
 
@@ -123,16 +126,17 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name).strip("-")
 
 
-def _write_witness_csvs(checks: list[CheckReport], csv_dir: str) -> None:
+def _csv_path(csv_dir: str, name: str) -> str:
+    """csv_dir/name, with csv_dir made first if it is missing."""
     os.makedirs(csv_dir, exist_ok=True)
+    return os.path.join(csv_dir, name)
+
+
+def _write_witness_csvs(checks: list[CheckReport], csv_dir: str) -> None:
     for c in checks:
-        if not c.witnesses:
-            continue
-        path = os.path.join(csv_dir, f"check-{_safe_name(c.name)}.csv")
-        with open(path, "w") as fh:
-            fh.write("label,error\n")
-            for label, err in c.witnesses:
-                fh.write(f"\"{label}\",{err:.17g}\n")
+        if c.witnesses:
+            _write_csv(_csv_path(csv_dir, f"check-{_safe_name(c.name)}.csv"),
+                       ["label", "error"], zip(*c.witnesses))
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -238,7 +242,8 @@ def cmd_envelope(args) -> int:
     else:
         r0, r1, n = _parse_grid(args.grid)
         r = np.linspace(r0, r1, n)
-        prof = RadialProfile(r, r * r)
+        with np.errstate(over="ignore"):  # RadialProfile refuses an overflowed r^2
+            prof = RadialProfile(r, r * r)
         source = {"grid": args.grid, "demo_profile": "v = r^2"}
     eps_list = args.eps or [1.0]
     tol = args.tol if args.tol is not None else 1e-9
@@ -255,9 +260,7 @@ def cmd_envelope(args) -> int:
             f"envelope-below-input[eps={eps:g}]",
             [float((res.profile.v - prof.v).max())], 0.0))
         if args.csv_dir:
-            os.makedirs(args.csv_dir, exist_ok=True)
-            res.profile.to_csv(os.path.join(args.csv_dir,
-                                            f"envelope-eps{eps:g}.csv"))
+            res.profile.to_csv(_csv_path(args.csv_dir, f"envelope-eps{eps:g}.csv"))
     config = {"eps": list(eps_list), "tol": tol, **source}
     payload = _payload("envelope", config, checks, None)
     return _finish(payload, checks, args.out)
@@ -269,6 +272,11 @@ def cmd_solve_radial(args) -> int:
     if r0 != 0.0:
         raise ConfigError("radial solve starts at r = 0; use a grid 0:r1:n")
     cfg = SolveConfig(rtol=args.tol if args.tol is not None else 1e-8, n_out=n)
+    # the march takes at least r1 / h_max steps, each costing about what one
+    # output node does
+    if r1 > GRID_MAX_NODES * cfg.h_max:
+        raise ConfigError(f"radial solve reaches at most r1 = {GRID_MAX_NODES * cfg.h_max:g}"
+                          f" ({GRID_MAX_NODES} steps of h_max = {cfg.h_max:g}), got {r1:g}")
     res = ode_solve(f, v0=args.v0, r_max=r1, cfg=cfg)
     checks = [CheckReport.from_errors(
         f"solve-residual[{args.f}]", [float(res.residual.max())], 1e-9,
@@ -278,8 +286,7 @@ def cmd_solve_radial(args) -> int:
                 "rejected_steps": res.steps.rejected,
                 "rhs_evals": res.steps.rhs_evals})]
     if args.csv_dir:
-        os.makedirs(args.csv_dir, exist_ok=True)
-        res.to_csv(os.path.join(args.csv_dir, f"solve-{_safe_name(args.f)}.csv"))
+        res.to_csv(_csv_path(args.csv_dir, f"solve-{_safe_name(args.f)}.csv"))
     config = {"f": args.f, "cone": args.cone, "v0": args.v0,
               "grid": args.grid, "tol": args.tol}
     payload = _payload("solve-radial", config, checks, None)
@@ -292,25 +299,19 @@ def cmd_moving_spheres(args) -> int:
     tol = args.tol if args.tol is not None else 1e-3
     rep = critical_lambda(u, x, lam_max=args.lam_max, tol=tol)
     if args.csv_dir:
-        os.makedirs(args.csv_dir, exist_ok=True)
         center = rep.lambda_bar if rep.lambda_bar else 1.0
         lams = np.geomspace(max(center / 4.0, 1e-3),
                             min(4.0 * center, args.lam_max), 17)
-        path = os.path.join(args.csv_dir, "slack-curve.csv")
-        with open(path, "w") as fh:
-            fh.write("lambda,min_slack,max_abs_slack\n")
-            for lam in lams:
-                st = slack_stats(u, x, float(lam))
-                fh.write(f"{lam:.17g},{st.min_slack:.17g},{st.max_abs_slack:.17g}\n")
-        with open(os.path.join(args.csv_dir, "search-trace.csv"), "w") as fh:
-            fh.write("lambda,admissible,min_slack,max_abs_slack\n")
-            for lam, admissible, min_slack, max_abs in rep.trace:
-                fh.write(f"{lam:.17g},{int(admissible)},{min_slack:.17g},{max_abs:.17g}\n")
+        curve = [(lam, *slack_stats(u, x, float(lam))[:2]) for lam in lams]
+        _write_csv(_csv_path(args.csv_dir, "slack-curve.csv"),
+                   ["lambda", "min_slack", "max_abs_slack"], zip(*curve))
+        # admissible is written as 1 or 0
+        _write_csv(_csv_path(args.csv_dir, "search-trace.csv"),
+                   ["lambda", "admissible", "min_slack", "max_abs_slack"], zip(*rep.trace))
     config = {"field": field_spec, "x": [x.x1, x.x2],
               "lam_max": args.lam_max, "tol": tol}
     payload = _payload("moving-spheres", config, [], None,
                        extra={"report": rep.to_dict()})
-    payload["passed"] = True
     _emit_json(payload, args.out)
     if args.out:
         if rep.unbounded:
@@ -321,13 +322,10 @@ def cmd_moving_spheres(args) -> int:
     return 0
 
 
-_SPELLED = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
-
-
 def _stored_number(value) -> float:
     """A JSON number, or one of the spellings _emit_json writes."""
-    if isinstance(value, str) and value in _SPELLED:
-        return _SPELLED[value]
+    if isinstance(value, str) and value in _SPELLED.values():
+        return float(value)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{value!r} is not a number")
@@ -475,15 +473,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_float_values(argv: list[str]) -> list[str]:
-    """argv with each "-"-led number after a float flag, and each "-"-led
-    point after a point flag, joined to its flag."""
+    """argv with each "-"-led number, point or grid after its flag joined to
+    the flag."""
     out: list[str] = []
     for arg in argv:
         flag = out[-1] if out else ""
-        if arg.startswith("-") and (flag in _FLOAT_FLAGS or flag in _POINT_FLAGS):
-            # a point's first coordinate leads it; _parse_point checks the rest
+        if arg.startswith("-") and flag in _NUMERIC_FLAGS:
+            # a point's or grid's first number leads it; its parser checks the rest
             try:
-                float(arg.split(",")[0] if flag in _POINT_FLAGS else arg)
+                float(arg.split(_NUMERIC_FLAGS[flag])[0])
             except ValueError:
                 pass
             else:

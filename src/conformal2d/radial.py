@@ -28,12 +28,13 @@ from .report import CheckReport, worst_witnesses
 
 
 def _write_csv(path, header: list[str], columns) -> None:
-    """One header row, then one row of %.17g entries per index of columns."""
+    """One header row, then one row per index of columns: strings as they
+    are, numbers as %.17g."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in zip(*columns):
-            w.writerow(["%.17g" % x for x in row])
+            w.writerow([x if isinstance(x, str) else "%.17g" % x for x in row])
 
 
 @dataclass(frozen=True)
@@ -295,9 +296,9 @@ def check_monotone_4log(p: RadialProfile, k0: float = 0.0,
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver settings.  rtol, atol, r_series, h_init and h_max must be
-    finite and positive (a NaN tolerance rejects every step, an infinite one
-    accepts every step), and n_out at least 2."""
+    """Solver settings.  rtol, atol, r_series, h_init, h_max and
+    root_residual_max must be finite and positive (a NaN tolerance rejects
+    every step, an infinite one accepts every step), and n_out at least 2."""
 
     rtol: float = 1e-8
     atol: float = 1e-11
@@ -308,7 +309,7 @@ class SolveConfig:
     root_residual_max: float = 1e-11
 
     def __post_init__(self) -> None:
-        for name in ("rtol", "atol", "r_series", "h_init", "h_max"):
+        for name in ("rtol", "atol", "r_series", "h_init", "h_max", "root_residual_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")

@@ -268,20 +268,18 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     less, inadmissible.  Then lambda_bar = lam* and the bracket is lam* and
     that radius: three grids in all, with lam_max's.
 
-    Otherwise (a failed certificate, or a probe that raises a numerical
-    error, reads a non-finite slack or no root) the search is the full-grid one: lam_max is
-    halved until a radius lo is admissible, at most 60 times, and stops
-    sooner where the nearest samples would round onto x; then it raises
-    DomainError.  The same certificate is tried with the sample where the
-    slack is least at hi = 2 lo.  Where it fails too (a touching the sample's
-    root misses, as a non-bubble may have, or a tol below about 1e-8, where
-    the 1e-9 (1 + |u|) allowance leaves lam* (1 + tol/2) admissible), the
-    search bisects [lo, hi]: an admissible radius with min_slack >=
-    -SLACK_ROUNDOFF moves lo, any other moves hi, down to relative width tol
-    or adjacent doubles.  Then brentq on min_slack across (lo, hi) polishes
-    the touching radius where min_slack changes sign there; else
-    lambda_bar = lo.  The probe decides nothing here: the fallback's report,
-    or its error, is that of the full-grid search alone.
+    Otherwise (a failed certificate, as for a non-bubble touching at another
+    sample or a tol below about 1e-8, where the 1e-9 (1 + |u|) allowance
+    leaves lam* (1 + tol/2) admissible; or a probe that raises a numerical
+    error, reads a non-finite slack or no root) the search is the full-grid
+    one.  lam_max is halved until a radius lo is admissible, at most 60
+    times, and stops sooner where the nearest samples would round onto x;
+    then it raises DomainError.  It bisects [lo, 2 lo]: an admissible radius
+    with min_slack >= -SLACK_ROUNDOFF moves lo, any other moves hi, down to
+    relative width tol or adjacent doubles.  Then brentq on min_slack across
+    (lo, hi) polishes the touching radius where min_slack changes sign
+    there; else lambda_bar = lo.  The probe decides nothing here: the
+    fallback's report, or its error, is that of the full-grid search alone.
 
     Each distinct radius costs one slack_stats call per search: brentq's
     bracket ends and the polished radius are read back.  lam_max must be
@@ -314,25 +312,6 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
                       for lam, st in memo.items())
         return MovingSphereReport(xv, *fields, trace=trace)
 
-    def certify(lo: float, hi: float, slacks: dict,
-                index: int) -> Optional[MovingSphereReport]:
-        """The certified report from the sample at `index` on [lo, hi], or
-        None; slacks holds the sample's known slack by radius."""
-        def sample(lam: float) -> float:
-            if lam not in slacks:
-                slacks[lam] = _sample_slack(u, xv, lam, n_radii, n_angles, index)
-            return slacks[lam]
-
-        root = lo
-        if sample(lo) > 0.0 > sample(hi):
-            root = float(brentq(sample, lo, hi, xtol=1e-14 * lo))
-        above = min(root * (1.0 + 0.5 * tol), hi)
-        at = stats(root)
-        if at.admissible and abs(at.min_slack) <= SLACK_ROUNDOFF \
-                and not stats(above).admissible:
-            return report(root, False, at.min_slack, at.max_abs_slack, (root, above))
-        return None
-
     top = stats(lam_max)
     if top.admissible:
         return report(None, True, top.min_slack, None, None)
@@ -341,9 +320,22 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
     # radius in one batch, brackets the root for three grids in all
     probe = None if top.argmin is None else _probe_bracket(
         u, xv, lam_max, rho_floor, n_radii, n_angles, top.argmin)
-    certified = probe and certify(*probe, top.argmin)
-    if certified:
-        return certified
+    if probe:
+        lo, hi, slacks = probe
+
+        def sample(lam: float) -> float:
+            if lam not in slacks:
+                slacks[lam] = _sample_slack(u, xv, lam, n_radii, n_angles, top.argmin)
+            return slacks[lam]
+
+        root = lo
+        if slacks[lo] > 0.0 > slacks[hi]:
+            root = float(brentq(sample, lo, hi, xtol=1e-14 * lo))
+        above = min(root * (1.0 + 0.5 * tol), hi)
+        at = stats(root)
+        if at.admissible and abs(at.min_slack) <= SLACK_ROUNDOFF \
+                and not stats(above).admissible:
+            return report(root, False, at.min_slack, at.max_abs_slack, (root, above))
 
     lo, halvings = lam_max, 0
     while not stats(lo).admissible:
@@ -353,11 +345,6 @@ def critical_lambda(u: ScalarField, x, lam_max: float, tol: float = 1e-3,
         hi = lo
         lo *= 0.5
         halvings += 1
-
-    index = stats(hi).argmin
-    certified = index is not None and certify(lo, hi, {}, index)
-    if certified:
-        return certified
 
     while hi - lo > tol * lo:
         mid = 0.5 * (lo + hi)
