@@ -83,13 +83,17 @@ class ScalarField:
     """Base class: a scalar field with an exact jet evaluator.
 
     Each family has one scalar evaluator, jet(), with value() its value
-    channel, and one batch evaluator, values().  A family that is another
-    family in disguise evaluates through it: a ChenLiBubble is a Bubble, and
-    a LiouvilleField's values are those of a pullback of the standard bubble.
+    channel and jets() its block form, and one batch evaluator, values().
+    A family in disguise evaluates through the other: a ChenLiBubble is a
+    Bubble, a LiouvilleField's values a pullback of the standard bubble's.
     """
 
     def jet(self, x) -> Jet2:
         raise NotImplementedError
+
+    def jets(self, points) -> list[Jet2]:
+        """jet() at each point; LiouvilleField makes one jets() call of f."""
+        return [self.jet(x) for x in points]
 
     def value(self, x) -> float:
         return self.jet(x).value
@@ -261,7 +265,13 @@ class LiouvilleField(ScalarField):
         return self.f.excluded(Vec2.of(x).to_complex())
 
     def jet(self, x) -> Jet2:
-        w, d1, d2, d3 = self.f.jet(Vec2.of(x).to_complex())
+        return self._jet_of(self.f.jet(Vec2.of(x).to_complex()))
+
+    def jets(self, points) -> list[Jet2]:
+        return list(map(self._jet_of, self.f.jets([Vec2.of(x).to_complex() for x in points])))
+
+    def _jet_of(self, fj: MapJet) -> Jet2:
+        w, d1, d2, d3 = fj
         if abs(d1) < VANISHING_DERIVATIVE:
             raise DomainError("vanishing derivative in pullback")
         m = 1.0 + (w * w.conjugate()).real
@@ -416,7 +426,7 @@ def pullback(u: ScalarField, psi: AnalyticMap) -> PullbackField:
     return PullbackField(u, psi)
 
 
-def pullback_jets(u: ScalarField, psi: AnalyticMap, x) -> tuple[MapJet, Jet2, Jet2]:
+def pullback_jets(u: ScalarField, psi: AnalyticMap, x):
     """The jets of psi at x, of u at psi(x) and of u_psi at x, each once.
 
     The chain rule runs in Wirtinger form.  With q2 = psi''/psi' and
@@ -428,11 +438,23 @@ def pullback_jets(u: ScalarField, psi: AnalyticMap, x) -> tuple[MapJet, Jet2, Je
 
     and for orientation-reversing psi the first two lines are conjugated
     (with the generating-function jet in place of psi derivatives).
+
+    Given a list of points, their triples from one psi.jets and one u.jets call.
     """
+    if isinstance(x, list):
+        mjs = psi.jets([Vec2.of(p).to_complex() for p in x])
+        if any(abs(mj.d1) < VANISHING_DERIVATIVE for mj in mjs):
+            raise DomainError("vanishing derivative in pullback")
+        bjs = u.jets([Vec2.from_complex(mj.value) for mj in mjs])
+        return [(mj, bj, _pulled_back(psi, mj, bj)) for mj, bj in zip(mjs, bjs)]
     mj = psi.jet(Vec2.of(x).to_complex())
     if abs(mj.d1) < VANISHING_DERIVATIVE:
         raise DomainError("vanishing derivative in pullback")
     bj = u.jet(Vec2.from_complex(mj.value))
+    return mj, bj, _pulled_back(psi, mj, bj)
+
+
+def _pulled_back(psi: AnalyticMap, mj: MapJet, bj: Jet2) -> Jet2:
     uw, uww, uwwbar = bj.u_z, bj.u_zz, bj.u_zzbar
     q2 = mj.d2 / mj.d1
     q3 = mj.d3 / mj.d1
@@ -443,7 +465,7 @@ def pullback_jets(u: ScalarField, psi: AnalyticMap, x) -> tuple[MapJet, Jet2, Je
         v_zz = v_zz.conjugate()
     v_zzbar = uwwbar * (mj.d1 * mj.d1.conjugate()).real
     value = bj.value + 2.0 * math.log(abs(mj.d1))
-    return mj, bj, Jet2.from_wirtinger(value, v_z, v_zz, v_zzbar)
+    return Jet2.from_wirtinger(value, v_z, v_zz, v_zzbar)
 
 
 def fd_jet(u: ScalarField, x, h: float | None = None, richardson: bool = False) -> Jet2:

@@ -44,19 +44,29 @@ def valid_points(rng: np.random.Generator, n: int, usable, r_in: float = 0.5,
     one draw per candidate gives.  At most max_tries * n are drawn.  If
     usable raises, the generator is rewound to just past the candidate it
     raised on, so it ends where drawing one candidate at a time leaves it;
-    usable must not draw from rng itself.
+    usable must not draw from rng itself.  A usable.block(points), if any,
+    gets each round first and returns usable(p) for each point; where it
+    raises, it must have changed nothing, and the round runs point by point.
     """
     out: list[Vec2] = []
     left = max_tries * n
     low, high = (r_in, 0.0), (r_out, 2.0 * math.pi)
+    block = getattr(usable, "block", None)
     while len(out) < n:
         k = min(n - len(out), left)
         if k <= 0:
             raise Conformal2dError("could not sample enough admissible points")
         left -= k
         state = rng.bit_generator.state
-        for i, (r, t) in enumerate(rng.uniform(low, high, (k, 2)).tolist()):
-            p = Vec2(r * math.cos(t), r * math.sin(t))
+        pts = [Vec2(r * math.cos(t), r * math.sin(t))
+               for r, t in rng.uniform(low, high, (k, 2)).tolist()]
+        if block is not None:
+            try:
+                out.extend(p for p, ok in zip(pts, block(pts)) if ok)
+                continue
+            except Exception:  # noqa: BLE001 - raised or absorbed point by point below
+                pass
+        for i, p in enumerate(pts):
             try:
                 if usable(p):
                     out.append(p)
@@ -182,12 +192,16 @@ def check_a_covariance(u: ScalarField, m: MobiusMap, pts, tol: float) -> dict[st
     return out
 
 
-def trace_residual_at(u: ScalarField, psi: AnalyticMap, x: Vec2) -> float:
-    """|tr A(u_psi)(x) - tr A(u)(psi(x))|; holds for all conformal psi."""
-    _, ju, jv = pullback_jets(u, psi, x)
-    lhs = -math.exp(-jv.value) * jv.laplacian
-    rhs = -math.exp(-ju.value) * ju.laplacian
-    return abs(lhs - rhs)
+def trace_residual_at(u: ScalarField, psi: AnalyticMap, x) -> float | list[float]:
+    """|tr A(u_psi)(x) - tr A(u)(psi(x))|; holds for all conformal psi.
+    Given a list of points, their residuals from one pullback_jets call."""
+    block = isinstance(x, list)
+    out = []
+    for _, ju, jv in pullback_jets(u, psi, x) if block else [pullback_jets(u, psi, x)]:
+        lhs = -math.exp(-jv.value) * jv.laplacian
+        rhs = -math.exp(-ju.value) * ju.laplacian
+        out.append(abs(lhs - rhs))
+    return out if block else out[0]
 
 
 def check_trace_conformal(u: ScalarField, psi: AnalyticMap, pts, tol: float) -> CheckReport:

@@ -42,12 +42,17 @@ class JacobianData(NamedTuple):
 
 
 class AnalyticMap:
-    """Base class for conformal maps with third-order jets."""
+    """Base class for conformal maps with third-order jets: jet() at a
+    point, jets() at each point of a block, values_d1() on arrays."""
 
     conjugating: bool = False
 
     def jet(self, z: complex) -> MapJet:
         raise NotImplementedError
+
+    def jets(self, zs) -> list[MapJet]:
+        """jet() at each of zs; PolynomialMap builds its derivatives once."""
+        return [self.jet(z) for z in zs]
 
     def values_d1(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Value and first derivative on a complex array of any shape.
@@ -318,12 +323,23 @@ class PolynomialMap(AnalyticMap):
         crit = self._critical_points()
         return bool(crit.size and np.abs(crit - z).min() < CRITICAL_GUARD)
 
-    def jet(self, z: complex) -> MapJet:
+    def _derivatives(self) -> tuple[np.ndarray, ...]:
         c = np.array(self.coeffs, dtype=complex)
+        return c, npoly.polyder(c, 1), npoly.polyder(c, 2), npoly.polyder(c, 3)
+
+    def jet(self, z: complex) -> MapJet:
+        return self._jet(z, self._derivatives())
+
+    def jets(self, zs) -> list[MapJet]:
+        ders = self._derivatives()
+        return [self._jet(z, ders) for z in zs]
+
+    def _jet(self, z: complex, ders: tuple[np.ndarray, ...]) -> MapJet:
+        c, c1, c2, c3 = ders
         value = npoly.polyval(z, c)
-        d1 = npoly.polyval(z, npoly.polyder(c, 1))
-        d2 = npoly.polyval(z, npoly.polyder(c, 2))
-        d3 = npoly.polyval(z, npoly.polyder(c, 3))
+        d1 = npoly.polyval(z, c1)
+        d2 = npoly.polyval(z, c2)
+        d3 = npoly.polyval(z, c3)
         if abs(d1) < CRITICAL_GUARD:
             raise DomainError("within guard radius of a critical point")
         return MapJet(complex(value), complex(d1), complex(d2), complex(d3))

@@ -123,15 +123,20 @@ def standard_fields(rng: np.random.Generator) -> list[tuple[str, ScalarField]]:
 def _usable_for(u: ScalarField, m: MobiusMap,
                 sink: Optional[list] = None) -> Callable[[Vec2], bool]:
     """Acceptance test for valid_points: the pullback jets evaluate.  Each
-    accepted point's pullback_jets triple is appended to sink, if given."""
+    accepted point's pullback_jets triple is appended to sink, if given;
+    usable.block tests a list of points with one pullback_jets call."""
 
-    def ok(p: Vec2) -> bool:
-        jets = pullback_jets(u, m, p)
+    def block(pts: list[Vec2]) -> list[bool]:
+        jets = pullback_jets(u, m, pts)
         if sink is not None:
-            sink.append(jets)
-        return True
+            sink.extend(jets)
+        return [True] * len(pts)
 
-    return ok
+    def usable(p: Vec2) -> bool:
+        return block([p])[0]
+
+    usable.block = block
+    return usable
 
 
 def counterexample_suite(seed: Optional[int] = None,
@@ -218,9 +223,9 @@ def trace_suite(seed: Optional[int] = None,
         labeled = []
         for fname, u in fields:
             # box sits away from the critical point of z^2 at the origin
-            for p in _box_points(rng, 100, (0.3, 1.4), (0.2, 1.3)):
-                labeled.append((f"{mname}/{fname}@({p.x1:.3g},{p.x2:.3g})",
-                                abs(trace_residual_at(u, psi, p))))
+            pts = _box_points(rng, 100, (0.3, 1.4), (0.2, 1.3))
+            for p, res in zip(pts, trace_residual_at(u, psi, pts)):
+                labeled.append((f"{mname}/{fname}@({p.x1:.3g},{p.x2:.3g})", abs(res)))
         out.append(CheckReport.from_labeled(f"trace-{mname}", labeled, tol))
 
     ce = counterexample_iz2(1.0, 1.0)
@@ -245,8 +250,8 @@ def liouville_suite(seed: Optional[int] = None,
     out = []
     for name, u in cases:
         labeled = []
-        for p in _box_points(rng, 200, (-1.2, 1.2), (-1.2, 1.2)):
-            j = u.jet(p)
+        pts = _box_points(rng, 200, (-1.2, 1.2), (-1.2, 1.2))
+        for p, j in zip(pts, u.jets(pts)):
             res = abs(-(j.hess.a11 + j.hess.a22) - math.exp(j.value))
             labeled.append((f"({p.x1:.3g},{p.x2:.3g})", res))
         out.append(CheckReport.from_labeled(f"liouville-pde-{name}", labeled, tol))
@@ -351,13 +356,11 @@ def cross_suite(seed: Optional[int] = None, tol: Optional[float] = None,
     tol = 1e-10 if tol is None else tol
     rng = np.random.default_rng(seed)
     labeled = []
-    for i in range(n):
-        j = Jet2(
-            float(rng.uniform(-2.0, 2.0)),
-            Vec2(float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0))),
-            Sym2(float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0)),
-                 float(rng.uniform(-5.0, 5.0))),
-        )
+    # each jet's value, gradient and Hessian entries: the draws one at a time gave
+    lows = [-2.0, -3.0, -3.0, -5.0, -5.0, -5.0]
+    rows = rng.uniform(lows, [-x for x in lows], (n, 6))
+    for i, (v, g1, g2, a11, a12, a22) in enumerate(rows.tolist()):
+        j = Jet2(v, Vec2(g1, g2), Sym2(a11, a12, a22))
         ea = eig2(a_from_jet(j))
         h = b_from_jet(j)
         hi, lo = h.zzbar + abs(h.zz), h.zzbar - abs(h.zz)
