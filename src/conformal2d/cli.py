@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import ConfigError, Conformal2dError
+from .errors import NUMERICAL_ERRORS, ConfigError
 from .fields import Bubble, field_from_dict
 from .geometry import Vec2
 from .ops import resolve_symmetric_function
@@ -37,8 +37,6 @@ SCHEMA = "conformal2d/1"
 # largest --grid node count, checked before anything is allocated: 50 times
 # the largest grid in the README and the tests
 GRID_MAX_NODES = 1_000_000
-# numerical failures: exit 2 with one "error:" line, never exit 1
-_ERRORS = (Conformal2dError, ArithmeticError, ValueError)
 # flags that take a float, a point x1,x2 or a grid r0:r1:n, each keyed to
 # the separator after its first number; argparse reads a value such as
 # "-inf", "-0.5,0" or "-1:1:2" as an option string, so main() joins it to its
@@ -216,7 +214,7 @@ def cmd_verify(args) -> int:
         # a suite that raises becomes a failing row; the others still run
         try:
             checks.extend(run_suites([name], seed=args.seed, tol=args.tol))
-        except _ERRORS as e:
+        except NUMERICAL_ERRORS as e:
             raised.append(f"{name} ({type(e).__name__}: {e})")
             checks.append(CheckReport.from_errors(
                 f"suite-error[{name}]", [1.0], 0.0,
@@ -285,6 +283,13 @@ def cmd_solve_radial(args) -> int:
                 "accepted_steps": res.steps.accepted,
                 "rejected_steps": res.steps.rejected,
                 "rhs_evals": res.steps.rhs_evals})]
+    # every built-in f is solved from v0 by the bubble v0 - 2 ln(1 + mu e^v0 r^2 / 4),
+    # to the solver suite's tolerance; a NaN or infinite error fails the row
+    r, v = res.profile.r, res.profile.v
+    with np.errstate(over="ignore", invalid="ignore"):
+        exact = args.v0 - 2.0 * np.log1p(res.mu * np.exp(args.v0) * r * r / 4.0)
+        error = float(np.abs(v - exact).max())
+    checks.append(CheckReport.from_errors(f"solve-bubble[{args.f}]", [error], 1e-5))
     if args.csv_dir:
         res.to_csv(_csv_path(args.csv_dir, f"solve-{_safe_name(args.f)}.csv"))
     config = {"f": args.f, "cone": args.cone, "v0": args.v0,
@@ -502,7 +507,7 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"io error: {e}", file=sys.stderr)
         return 3
-    except _ERRORS as e:
+    except NUMERICAL_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:

@@ -31,3 +31,8 @@ class StepFailure(Conformal2dError):
 
 class ConfigError(Conformal2dError):
     """Malformed CLI or suite configuration."""
+
+
+# caught as a numerical error: by the CLI (exit 2), verify (a failing row),
+# the covariance block (a replay) and the moving-spheres probe (a fallback)
+NUMERICAL_ERRORS = (Conformal2dError, ArithmeticError, ValueError)

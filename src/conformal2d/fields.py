@@ -111,9 +111,6 @@ class ScalarField:
             out[i] = self.value(Vec2(float(x1[i]), float(x2[i])))
         return out
 
-    def excluded(self, x) -> bool:
-        return False
-
     def __call__(self, x) -> float:
         return self.value(x)
 
@@ -251,8 +248,9 @@ class LiouvilleField(ScalarField):
     This is the pullback through f of the standard bubble ln 8 - 2 ln(1 + |w|^2),
     so -Laplacian(u) = e^u identically.  values() is that pullback's; jet()
     is the closed form, an independent route to the same numbers.  Both
-    raise DomainError where f does (a pole, a polynomial critical point
-    within 1e-6) and where |f'| < VANISHING_DERIVATIVE.
+    raise where f does (PoleError where |c z + d| < 1e-14 for a Mobius f,
+    DomainError where |f'| < 1e-6 for a polynomial f) and DomainError where
+    |f'| < VANISHING_DERIVATIVE.
     """
 
     f: AnalyticMap
@@ -260,9 +258,6 @@ class LiouvilleField(ScalarField):
     def __post_init__(self) -> None:
         if self.f.conjugating:
             raise ConjugatingUnsupported("Liouville fields need a holomorphic f")
-
-    def excluded(self, x) -> bool:
-        return self.f.excluded(Vec2.of(x).to_complex())
 
     def jet(self, x) -> Jet2:
         return self._jet_of(self.f.jet(Vec2.of(x).to_complex()))
@@ -311,8 +306,8 @@ class RadialField(ScalarField):
     """Field built from sampled radial data by cubic spline interpolation.
 
     A profile starting at r = 0 is extended evenly across the origin, which
-    pins S'(0) = 0; a profile starting at r > 0 is an annulus field and
-    points outside [r_min, r_max] are excluded.
+    pins S'(0) = 0; a profile starting at r > 0 is an annulus field.  jet
+    and values raise DomainError at radii outside [r_min, r_max] by over 1e-12.
     """
 
     profile: RadialProfile
@@ -347,9 +342,6 @@ class RadialField(ScalarField):
     def _outside(self, r):
         """Radii, scalar or array, beyond the profile range by over 1e-12."""
         return (r < self.r_min - 1e-12) | (r > self.r_max + 1e-12)
-
-    def excluded(self, x) -> bool:
-        return self._outside((Vec2.of(x) - self.center).norm())
 
     def jet(self, x) -> Jet2:
         dx = Vec2.of(x) - self.center
@@ -392,16 +384,6 @@ class PullbackField(ScalarField):
 
     base: ScalarField
     map: AnalyticMap
-
-    def excluded(self, x) -> bool:
-        z = Vec2.of(x).to_complex()
-        if self.map.excluded(z):
-            return True
-        try:
-            w = self.map.jet(z).value
-        except DomainError:
-            return True
-        return self.base.excluded(Vec2.from_complex(w))
 
     def jet(self, x) -> Jet2:
         return pullback_jets(self.base, self.map, x)[2]

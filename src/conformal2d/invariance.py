@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Conformal2dError, ConjugatingUnsupported
+from .errors import NUMERICAL_ERRORS, Conformal2dError, ConjugatingUnsupported
 from .fields import QuadraticField, ScalarField, pullback_jets
 from .geometry import (ORTH_DEFECT_TOL, Vec2, Sym2, _conj_entries, _eig_pair, _hypot_each,
                        _orth_defect, conj_orth, eig2)
@@ -35,7 +35,7 @@ def valid_points(rng: np.random.Generator, n: int, usable, r_in: float = 0.5,
                  r_out: float = 3.0, max_tries: int = 200) -> list[Vec2]:
     """Draw n seeded annulus points for which ``usable(p)`` holds.
 
-    Sampling failures (excluded points, poles, overflow) are absorbed by
+    A Conformal2dError or OverflowError that usable raises is absorbed by
     resampling; determinism for a fixed generator state is preserved since
     the rejection sequence is itself a pure function of the stream.
 
@@ -171,7 +171,7 @@ def covariance_errors_at(u: ScalarField, m: MobiusMap, x,
         raise ValueError(f"{len(x)} points but {len(jets)} jets")
     try:
         return _covariance_block(m, jets)
-    except (ArithmeticError, ValueError, Conformal2dError):
+    except NUMERICAL_ERRORS:
         # steps run block-wide: replay the points one by one to raise
         # what the first failing point raises on its own
         for j in jets:

@@ -67,10 +67,6 @@ class AnalyticMap:
             w[i], d1[i] = self.jet(complex(z[i]))[:2]
         return w, d1
 
-    def excluded(self, z: complex) -> bool:
-        """Best-effort predicate for statically known excluded points."""
-        return False
-
     def apply_complex(self, z: complex) -> complex:
         return self.jet(z).value
 
@@ -198,15 +194,11 @@ class MobiusMap(AnalyticMap):
 
     @property
     def pole(self) -> complex | None:
-        """Excluded point in the source plane, if any."""
+        """Zero of c z + d, conjugated if conjugating; jet raises PoleError near it."""
         if self.c == 0:
             return None
         p = -self.d / self.c
         return p.conjugate() if self.conjugating else p
-
-    def excluded(self, z: complex) -> bool:
-        p = self.pole
-        return p is not None and abs(z - p) < POLE_GUARD
 
     def jet(self, z: complex) -> MapJet:
         zz = z.conjugate() if self.conjugating else z
@@ -272,15 +264,6 @@ class ComposedMap(AnalyticMap):
     def conjugating(self) -> bool:  # type: ignore[override]
         return self.outer.conjugating != self.inner.conjugating
 
-    def excluded(self, z: complex) -> bool:
-        if self.inner.excluded(z):
-            return True
-        try:
-            w = self.inner.jet(z).value
-        except DomainError:
-            return True
-        return self.outer.excluded(w)
-
     def jet(self, z: complex) -> MapJet:
         ji = self.inner.jet(z)
         jo = self.outer.jet(ji.value)
@@ -303,8 +286,8 @@ class ComposedMap(AnalyticMap):
 
 @dataclass(frozen=True)
 class PolynomialMap(AnalyticMap):
-    """Polynomial map sum_k coeffs[k] z^k; critical points are excluded
-    with a guard radius of 1e-6."""
+    """Polynomial map sum_k coeffs[k] z^k; jet, jets and values_d1 raise
+    DomainError where |f'(z)| < 1e-6 (CRITICAL_GUARD)."""
 
     coeffs: tuple[complex, ...]
 
@@ -312,16 +295,6 @@ class PolynomialMap(AnalyticMap):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in coeffs))
         if len(self.coeffs) < 2 or all(c == 0 for c in self.coeffs[1:]):
             raise ValueError("constant polynomial has no conformal structure")
-
-    def _critical_points(self) -> np.ndarray:
-        dcoeffs = npoly.polyder(np.array(self.coeffs, dtype=complex))
-        if len(dcoeffs) <= 1:
-            return np.empty(0, dtype=complex)
-        return npoly.polyroots(dcoeffs)
-
-    def excluded(self, z: complex) -> bool:
-        crit = self._critical_points()
-        return bool(crit.size and np.abs(crit - z).min() < CRITICAL_GUARD)
 
     def _derivatives(self) -> tuple[np.ndarray, ...]:
         c = np.array(self.coeffs, dtype=complex)

@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one named check: pass iff max_error <= tolerance, which
-    construction enforces (ValueError for any other passed).
+    """Outcome of one named check on points_tested >= 1 points: pass iff
+    max_error <= tolerance.  Construction enforces both (ValueError).
 
     witnesses holds the worst offending sample points as (label, error)
     pairs; extras carries check-specific numbers worth persisting.
@@ -22,6 +22,8 @@ class CheckReport:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.points_tested < 1:
+            raise ValueError(f"points_tested {self.points_tested!r} < 1")
         if not isinstance(self.passed, bool):
             raise ValueError(f"passed {self.passed!r} is not a bool")
         if self.passed != (self.max_error <= self.tolerance):

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._scipy import brentq
-from .errors import Conformal2dError, DomainError
+from .errors import NUMERICAL_ERRORS, DomainError
 from .fields import Bubble, PullbackField, ScalarField, pullback
 from .geometry import Vec2
 from .mobius import MobiusMap
@@ -37,7 +37,8 @@ LAM_MAX_LIMIT = 0.1 * math.sqrt(0.5 * sys.float_info.max)
 
 
 def ms_transform(u: ScalarField, x, lam: float) -> PullbackField:
-    """The transform as a field with exact jets; excluded point {x}."""
+    """The transform as a field with exact jets; its jet raises PoleError
+    where |y - x| < 1e-14 lam, the sphere inversion's pole guard."""
     if lam <= 0.0:
         raise ValueError("lam must be positive")
     return pullback(u, MobiusMap.sphere_inversion(Vec2.of(x), lam))
@@ -196,16 +197,16 @@ def _probe_bracket(u: ScalarField, xv: Vec2, lam_max: float, rho_floor: float,
     nearest samples above rho_floor); lo is the first radius where its slack
     is at least -SLACK_ROUNDOFF, zero to roundoff as in bisection, and
     hi = 2 lo.  slacks maps each radius to its slack.
-    None where the batch raises a numerical error (Conformal2dError,
-    ArithmeticError, ValueError) or holds a non-finite slack, or where no
-    slack after lam_max's reaches -SLACK_ROUNDOFF."""
+    None where the batch raises one of NUMERICAL_ERRORS or holds a
+    non-finite slack, or where no slack after lam_max's reaches
+    -SLACK_ROUNDOFF."""
     lams = lam_max * 0.5 ** np.arange(61.0)
     lams = lams[RHO_MIN_FACTOR * lams > rho_floor]
     try:
         # only the grids decide, so the probe's own warnings are noise
         with np.errstate(all="ignore"):
             slacks = _sample_slack(u, xv, lams, n_radii, n_angles, index)
-    except (Conformal2dError, ArithmeticError, ValueError):
+    except NUMERICAL_ERRORS:
         return None  # the fallback's grids raise what they reach
     stops = np.flatnonzero(slacks >= -SLACK_ROUNDOFF)
     if not np.isfinite(slacks).all() or not stops.size or stops[0] == 0:

@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process via main(argv)."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ from conformal2d import (
     Vec2,
     minimize_on_circles,
 )
-from conformal2d import suites
+from conformal2d import cli, suites
 from conformal2d.cli import main
 
 SCHEMA_KEYS = {"schema", "command", "seed", "config", "checks", "passed",
@@ -181,6 +182,32 @@ def test_solve_radial_overflowing_center_value_is_an_error(capsys):
     assert main(["solve-radial", "--v0", "800"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "v0" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--v0", "12"], 2.4e-2),
+    (["--v0", "12", "--f", "sigma1"], 6.4e-3),  # after a spurious cone exit
+    (["--v0", "8"], 1.5e-5),
+])
+def test_solve_radial_fails_off_the_exact_bubble(capsys, argv, error):
+    code, payload = run_json(capsys, ["solve-radial", *argv])
+    assert code == 1
+    residual, bubble = payload["checks"]
+    assert residual["name"].startswith("solve-residual[") and residual["passed"]
+    assert bubble["name"].startswith("solve-bubble[") and not bubble["passed"]
+    assert bubble["max_error"] == pytest.approx(error, rel=0.05)
+    assert bubble["tolerance"] == 1e-5
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf])
+def test_solve_radial_bubble_row_fails_on_a_non_finite_exact_value(capsys, monkeypatch, mu):
+    solve = cli.ode_solve
+    monkeypatch.setattr(cli, "ode_solve",
+                        lambda *a, **k: dataclasses.replace(solve(*a, **k), mu=mu))
+    code, payload = run_json(capsys, ["solve-radial"])
+    bubble = payload["checks"][1]
+    assert code == 1 and bubble["passed"] is False
+    assert bubble["max_error"] in ("NaN", "Infinity")
 
 
 def test_moving_spheres_default_field(tmp_path, capsys):

@@ -1,39 +1,43 @@
-"""Excluded-point predicates of composed maps and pullbacks, the radial
-solver's diagonal seed for a user function, and SolveConfig's residual
-bound."""
+"""The domain of composed maps and pullbacks, as their jets' guards state
+it, the radial solver's diagonal seed for a user function, and
+SolveConfig's residual bound."""
 
 import math
 
 import pytest
 
 from conformal2d import Bubble, Vec2
-from conformal2d.errors import SeedError
+from conformal2d.errors import DomainError, PoleError, SeedError
 from conformal2d.fields import PullbackField
 from conformal2d.mobius import ComposedMap, MobiusMap, PolynomialMap
 from conformal2d.ops import ConeIndex, SymmetricFunction
 from conformal2d.radial import SolveConfig, _diagonal_seed, ode_solve
 
-# pole at -2; |c| < 1, so its jet refuses points the pole guard still admits
+# pole at -2; |c| < 1, so its jet refuses points within 1e-14 / |c| of it
 MOBIUS = MobiusMap(1.0, 0.0, 0.5, 1.0)
-# critical point 0; f' = 0.2 z is below the 1e-6 guard at z = 2e-6, which is
-# outside the guard radius about the critical point
+# critical point 0; f' = 0.2 z is below the 1e-6 guard at z = 2e-6
 FLAT = PolynomialMap([0.0, 0.0, 0.1])
 
 
-def test_composed_map_excluded_points():
+def test_composed_map_jet_raises_where_its_inner_map_does():
     composed = ComposedMap(MOBIUS, FLAT)
-    assert composed.excluded(0j)  # the inner map's critical point
-    assert not FLAT.excluded(2e-6 + 0j)
-    assert composed.excluded(2e-6 + 0j)  # the inner jet raises there
-    assert not composed.excluded(1 + 0j)
+    for z in (0j, 2e-6 + 0j):  # the inner map's critical point, and 2e-6 from it
+        with pytest.raises(DomainError, match="critical point"):
+            FLAT.jet(z)
+        with pytest.raises(DomainError, match="critical point"):
+            composed.jet(z)
+    composed.jet(1 + 0j)
     # the inner map sends 1 onto the outer map's pole
-    assert ComposedMap(MOBIUS, PolynomialMap([-3.0, 1.0])).excluded(1 + 0j)
+    with pytest.raises(PoleError):
+        ComposedMap(MOBIUS, PolynomialMap([-3.0, 1.0])).jet(1 + 0j)
 
 
-def test_pullback_excluded_points():
-    assert PullbackField(Bubble(1.0, 8.0), MOBIUS).excluded(Vec2(-2.0, 0.0))
-    assert not PullbackField(Bubble(1.0, 8.0), MOBIUS).excluded(Vec2(0.0, 0.0))
-    assert PullbackField(Bubble(1.0, 8.0), FLAT).excluded(Vec2(2e-6, 0.0))
+def test_pullback_jet_raises_at_a_mobius_pole():
+    with pytest.raises(PoleError):
+        PullbackField(Bubble(1.0, 8.0), MOBIUS).jet(Vec2(-2.0, 0.0))
+    PullbackField(Bubble(1.0, 8.0), MOBIUS).jet(Vec2(0.0, 0.0))
+    with pytest.raises(DomainError, match="critical point"):
+        PullbackField(Bubble(1.0, 8.0), FLAT).jet(Vec2(2e-6, 0.0))
 
 
 def scaled_sigma1(k: float, shift: float = 0.0) -> SymmetricFunction:

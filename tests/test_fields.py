@@ -207,12 +207,14 @@ class TestRadialField:
 
     def test_annulus_exclusion(self):
         v = self.make()
-        assert not v.excluded(Vec2(3.0, 0.0))
-        assert v.excluded(Vec2(5.1, 0.0))
+        v.jet(Vec2(3.0, 0.0))
+        with pytest.raises(DomainError, match="outside profile range"):
+            v.jet(Vec2(5.1, 0.0))
         inner = RadialField(RadialProfile(np.linspace(1.0, 2.0, 11),
                                           np.zeros(11)))
-        assert inner.excluded(Vec2(0.5, 0.0))
-        assert not inner.excluded(Vec2(1.5, 0.0))
+        with pytest.raises(DomainError, match="outside profile range"):
+            inner.jet(Vec2(0.5, 0.0))
+        inner.jet(Vec2(1.5, 0.0))
 
 
 def test_profile_validation():
@@ -362,14 +364,15 @@ def test_radial_values_raise_what_value_raises():
     u = RadialField(RadialProfile(r, np.cos(r)), center=Vec2(0.1, 0.2))
     inside = Vec2(1.1, 0.2)
     for p in (Vec2(0.1, 0.2), Vec2(0.35, 0.2), Vec2(2.2, 0.2)):
-        assert u.excluded(p)
+        with pytest.raises(DomainError):
+            u.jet(p)
         with pytest.raises(DomainError):
             u.value(p)
         with pytest.raises(DomainError):
             u.values([inside.x1, p.x1], [inside.x2, p.x2])
     # radii within 1e-12 of the profile ends are inside
     edge = Vec2(2.1 + 5e-13, 0.2)
-    assert not u.excluded(edge)
+    u.jet(edge)
     got = u.values([inside.x1, edge.x1], [inside.x2, edge.x2])
     assert got == pytest.approx([u.value(inside), u.value(edge)], abs=1e-15)
     with pytest.raises(ValueError):

@@ -19,5 +19,11 @@ def test_max_error_and_verdict_without_nan():
     assert CheckReport.from_errors("ok", [0.5, 0.25], 0.5).passed is True
     rep = CheckReport.from_errors("over", [0.25, 0.75], 0.5)
     assert rep.max_error == 0.75 and rep.passed is False
-    empty = CheckReport.from_errors("empty", [], 0.0)
-    assert empty.max_error == 0.0 and empty.passed is True
+
+
+def test_a_row_that_tests_no_point_is_refused():
+    for points in (0, -1):
+        with pytest.raises(ValueError, match=f"points_tested {points} < 1"):
+            CheckReport("row", points, 0.0, 1.0, True)
+    with pytest.raises(ValueError, match="points_tested 0 < 1"):
+        CheckReport.from_errors("empty", [], 0.0)

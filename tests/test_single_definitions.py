@@ -1,7 +1,8 @@
 """Each formula the covariance block and the radial solver share with the
 one-point routes has one definition: the block calls the scalar routes'
-helpers, ode_solve ends on a cone exit in one place, and radial writes CSV
-through one writer."""
+helpers, ode_solve ends on a cone exit in one place, radial writes CSV
+through one writer, and every handler that catches a numerical error
+names one tuple."""
 
 import ast
 from pathlib import Path
@@ -58,3 +59,12 @@ def test_ode_solve_has_one_cone_exit_handler():
 
 def test_radial_opens_one_csv_writer():
     assert Path(radial.__file__).read_text().count("csv.writer(") == 1
+
+
+def test_numerical_errors_are_one_tuple():
+    handlers = [ast.unparse(node.type) for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler) and node.type is not None]
+    assert not [h for h in handlers if "ArithmeticError" in h]
+    # the CLI's two handlers, the covariance block's replay and the probe's fallback
+    assert handlers.count("NUMERICAL_ERRORS") == 4

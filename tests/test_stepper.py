@@ -254,7 +254,7 @@ def test_solve_radial_report_carries_counts(tmp_path):
     out = tmp_path / "solve.json"
     assert main(["solve-radial", "--f", "sigma2", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["checks"]
-    assert len(rows) == 1
+    assert [row["name"] for row in rows] == ["solve-residual[sigma2]", "solve-bubble[sigma2]"]
     extras = rows[0]["extras"]
     steps = ode_solve(resolve_symmetric_function("sigma2")).steps
     assert (extras["accepted_steps"], extras["rejected_steps"], extras["rhs_evals"]) == (
