@@ -74,9 +74,6 @@ from .radial import (
 )
 from .invariance import (
     b_covariance_errors_at,
-    check_a_covariance,
-    check_b_covariance,
-    check_trace_conformal,
     counterexample_iz2,
     covariance_errors_at,
     random_mobius,

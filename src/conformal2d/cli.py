@@ -45,6 +45,8 @@ _NUMERIC_FLAGS = {"--tol": None, "--eps": None, "--v0": None, "--cone": None,
                   "--lam-max": None, "--x": ",", "--grid": ":"}
 # non-finite floats as _emit_json spells them, keyed by repr
 _SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# subcommands whose payloads always hold at least one check row
+_ROW_COMMANDS = ("verify", "envelope", "solve-radial")
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -345,6 +347,14 @@ def _stored_check(row) -> CheckReport:
                if k not in row]
     if missing:
         raise ValueError(f"missing {', '.join(missing)}")
+    if not isinstance(row["name"], str):
+        raise ValueError(f"name {row['name']!r} is not a string")
+    witnesses, extras = row.get("witnesses", []), row.get("extras", {})
+    if not (isinstance(witnesses, list) and all(
+            isinstance(w, list) and len(w) == 2 and isinstance(w[0], str) for w in witnesses)):
+        raise ValueError(f"witnesses {witnesses!r} are not [label, error] pairs")
+    if not isinstance(extras, dict):
+        raise ValueError(f"extras {extras!r} is not a JSON object")
     points = row["points_tested"]
     if isinstance(points, bool) or not isinstance(points, int) or points < 1:
         raise ValueError(f"points_tested {points!r} is not an int >= 1")
@@ -354,13 +364,13 @@ def _stored_check(row) -> CheckReport:
         raise ValueError(f"passed {row['passed']!r} is not a JSON bool")
     # CheckReport refuses a verdict that disagrees with its numbers
     return CheckReport(
-        name=str(row["name"]),
+        name=row["name"],
         points_tested=points,
         max_error=max_error,
         tolerance=tolerance,
         passed=row["passed"],
-        witnesses=tuple((w[0], w[1]) for w in row.get("witnesses", [])),
-        extras=row.get("extras", {}),
+        witnesses=tuple((label, _stored_number(e)) for label, e in witnesses),
+        extras=extras,
     )
 
 
@@ -388,6 +398,8 @@ def cmd_report(args) -> int:
         # merged verdict cannot be recovered from the rows alone
         if not rows and passed is None:
             raise ConfigError(f"{path}: no check rows and no passed verdict")
+        if not rows and data.get("command") in _ROW_COMMANDS:
+            raise ConfigError(f"{path}: {data['command']} payload with no check rows")
         inputs_passed = inputs_passed and passed is not False
         for i, row in enumerate(rows):
             try:

@@ -199,9 +199,6 @@ class Bubble(ScalarField):
         np.multiply(s, 2.0, out=s)
         return np.subtract(2.0 * math.log(8.0 * self.a), s, out=s)
 
-    def radial_value(self, r: float) -> float:
-        return 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(8.0 * r * r + self.b)
-
 
 # ln 8 - 2 ln(1 + |w|^2): the solution of -Laplacian u = e^u that every
 # Liouville field pulls back

@@ -21,7 +21,6 @@ from .geometry import (ORTH_DEFECT_TOL, Vec2, Sym2, _conj_entries, _eig_pair, _h
 from .mobius import (AnalyticMap, MobiusMap, PolynomialMap, _conformal_factors, _jacobians,
                      _orthogonal_parts)
 from .ops import a_from_jet, b_from_jet
-from .report import CheckReport
 
 
 def annulus_points(rng: np.random.Generator, n: int, r_in: float = 0.5,
@@ -157,18 +156,15 @@ def _covariance_block(m: MobiusMap, jets) -> list[CovarianceErrors]:
     return list(map(CovarianceErrors, matrix.tolist(), tensor.tolist(), eigen.tolist()))
 
 
-def covariance_errors_at(u: ScalarField, m: MobiusMap, x,
-                         jets=None) -> CovarianceErrors | list[CovarianceErrors]:
-    """CovarianceErrors at the point x, or, given jets, at each point of the
-    block x, whose pullback_jets(u, m, p) triples jets holds in order.
+def covariance_errors_at(u: ScalarField, m: MobiusMap, pts, jets) -> list[CovarianceErrors]:
+    """CovarianceErrors at each point of the block pts, whose
+    pullback_jets(u, m, p) triples jets holds in order.
 
     The law is pointwise, so a block computes what its points would one at
     a time, bit for bit, and raises what the first failing point raises.
     """
-    if jets is None:
-        return _covariance_block(m, [pullback_jets(u, m, x)])[0]
-    if len(jets) != len(x):
-        raise ValueError(f"{len(x)} points but {len(jets)} jets")
+    if len(jets) != len(pts):
+        raise ValueError(f"{len(pts)} points but {len(jets)} jets")
     try:
         return _covariance_block(m, jets)
     except NUMERICAL_ERRORS:
@@ -179,34 +175,15 @@ def covariance_errors_at(u: ScalarField, m: MobiusMap, x,
         raise
 
 
-def check_a_covariance(u: ScalarField, m: MobiusMap, pts, tol: float) -> dict[str, CheckReport]:
-    """Matrix, tensor, and spectral forms of the covariance law on pts."""
-    if not isinstance(m, MobiusMap):
-        raise TypeError("covariance law holds for fractional linear maps only")
-    pts = list(pts)
-    errs = covariance_errors_at(u, m, pts, [pullback_jets(u, m, p) for p in pts])
-    out = {}
-    for name in ("matrix", "tensor", "eigen"):
-        labeled = [(f"({p.x1:.3g},{p.x2:.3g})", getattr(e, name)) for p, e in zip(pts, errs)]
-        out[name] = CheckReport.from_labeled(f"a-covariance-{name}", labeled, tol)
-    return out
-
-
-def trace_residual_at(u: ScalarField, psi: AnalyticMap, x) -> float | list[float]:
-    """|tr A(u_psi)(x) - tr A(u)(psi(x))|; holds for all conformal psi.
-    Given a list of points, their residuals from one pullback_jets call."""
-    block = isinstance(x, list)
+def trace_residual_at(u: ScalarField, psi: AnalyticMap, pts: list) -> list[float]:
+    """|tr A(u_psi)(x) - tr A(u)(psi(x))| at each point x of the list pts,
+    from one pullback_jets call; the law holds for all conformal psi."""
     out = []
-    for _, ju, jv in pullback_jets(u, psi, x) if block else [pullback_jets(u, psi, x)]:
+    for _, ju, jv in pullback_jets(u, psi, pts):
         lhs = -math.exp(-jv.value) * jv.laplacian
         rhs = -math.exp(-ju.value) * ju.laplacian
         out.append(abs(lhs - rhs))
-    return out if block else out[0]
-
-
-def check_trace_conformal(u: ScalarField, psi: AnalyticMap, pts, tol: float) -> CheckReport:
-    labeled = [(f"({p.x1:.3g},{p.x2:.3g})", trace_residual_at(u, psi, p)) for p in pts]
-    return CheckReport.from_labeled("trace-conformal", labeled, tol)
+    return out
 
 
 def b_covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2,
@@ -226,15 +203,6 @@ def b_covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2,
     ev, eu = b_v.eigs(), b_u.eigs()
     eig_err = max(abs(ev.lambda1 - eu.lambda1), abs(ev.lambda2 - eu.lambda2))
     return entry_err, eig_err
-
-
-def check_b_covariance(u: ScalarField, m: MobiusMap, pts, tol: float) -> dict[str, CheckReport]:
-    rows = [(p, b_covariance_errors_at(u, m, p)) for p in pts]
-    out = {}
-    for idx, name in enumerate(("entries", "eigen")):
-        labeled = [(f"({p.x1:.3g},{p.x2:.3g})", e[idx]) for p, e in rows]
-        out[name] = CheckReport.from_labeled(f"b-covariance-{name}", labeled, tol)
-    return out
 
 
 @dataclass(frozen=True)

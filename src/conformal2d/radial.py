@@ -70,16 +70,6 @@ class RadialProfile:
                     raise ValueError(f"bad {name} column")
                 object.__setattr__(self, name, arr)
 
-    @classmethod
-    def tabulate(cls, grid, fn: Callable[[float], float],
-                 dfn: Callable[[float], float] | None = None,
-                 ddfn: Callable[[float], float] | None = None) -> "RadialProfile":
-        r = np.asarray(grid, dtype=float)
-        v = np.array([fn(t) for t in r])
-        dv = np.array([dfn(t) for t in r]) if dfn else None
-        ddv = np.array([ddfn(t) for t in r]) if ddfn else None
-        return cls(r, v, dv, ddv)
-
     def columns(self) -> list[str]:
         cols = ["r", "v"]
         if self.dv is not None:
@@ -383,12 +373,6 @@ def _section_rule(cone: ConeIndex) -> Callable[[float], Optional[float]]:
     return lambda lam2: max(s * lam2, lam2 / s)
 
 
-def _lambda1_section_min(lam2: float, cone: ConeIndex) -> Optional[float]:
-    """Infimum of lambda1 over the cone section at fixed lambda2, or None
-    when the section is empty."""
-    return _section_rule(cone)(lam2)
-
-
 def _lambda1_solver(f: SymmetricFunction, cone: ConeIndex,
                     cfg: SolveConfig) -> Callable[[float, float], tuple[float, float]]:
     """``solve(lam2, r)``: f(lambda1, lam2) = 1 solved for lambda1 within the
@@ -433,12 +417,6 @@ def _lambda1_solver(f: SymmetricFunction, cone: ConeIndex,
         return lam1, residual
 
     return solve
-
-
-def _solve_lambda1(f: SymmetricFunction, cone: ConeIndex, lam2: float,
-                   r: float, cfg: SolveConfig) -> tuple[float, float]:
-    """One call of a fresh ``_lambda1_solver(f, cone, cfg)``."""
-    return _lambda1_solver(f, cone, cfg)(lam2, r)
 
 
 def _integrate_to_nodes(rhs, r0: float, v0: float, w0: float, nodes,

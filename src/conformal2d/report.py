@@ -1,13 +1,15 @@
 """Uniform pass/fail record for verification checks."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one named check on points_tested >= 1 points: pass iff
-    max_error <= tolerance.  Construction enforces both (ValueError).
+    max_error <= tolerance, with neither an infinite tolerance nor a
+    max_error of -inf.  Construction enforces all three (ValueError).
 
     witnesses holds the worst offending sample points as (label, error)
     pairs; extras carries check-specific numbers worth persisting.
@@ -26,6 +28,10 @@ class CheckReport:
             raise ValueError(f"points_tested {self.points_tested!r} < 1")
         if not isinstance(self.passed, bool):
             raise ValueError(f"passed {self.passed!r} is not a bool")
+        # the only non-finite numbers under which any error passes
+        if self.tolerance == math.inf or self.max_error == -math.inf:
+            raise ValueError(f"max_error {self.max_error!r} <= tolerance "
+                             f"{self.tolerance!r} is vacuous")
         if self.passed != (self.max_error <= self.tolerance):
             raise ValueError(f"passed {self.passed!r} disagrees with max_error "
                              f"{self.max_error!r} <= tolerance {self.tolerance!r}")

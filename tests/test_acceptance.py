@@ -157,8 +157,7 @@ def test_c10_radial_shooting_solver():
     t1 = time.perf_counter() - t0
 
     def sup_gap(res, bubble):
-        return float(np.abs(res.profile.v
-                            - [bubble.radial_value(t) for t in res.profile.r]).max())
+        return float(np.abs(res.profile.v - bubble.values(res.profile.r, 0.0)).max())
 
     gap2 = sup_gap(res2, Bubble(4.0, 32.0))
     gap1 = sup_gap(res1, Bubble(8.0, 64.0))

@@ -1,7 +1,7 @@
 """Block jets: PolynomialMap.jets, LiouvilleField.jets, the looping defaults
 of ScalarField.jets and AnalyticMap.jets, and pullback_jets and
 trace_residual_at on a list of points.  Each block gives its points'
-one-point results bit for bit and raises what one of its failing points
+one-point (or block-of-one) results bit for bit and raises what one of its failing points
 raises alone; valid_points with a block-capable usable draws, accepts and
 raises as one candidate at a time does; and a block builds a polynomial's
 derivative coefficients once."""
@@ -160,7 +160,7 @@ def test_pullback_jets_and_trace_residuals_on_a_list(data, u, psi):
     assert_block_matches_points(lambda x: pullback_jets(u, psi, x),
                                 lambda p: pullback_jets(u, psi, p), pts)
     assert_block_matches_points(lambda x: trace_residual_at(u, psi, x),
-                                lambda p: trace_residual_at(u, psi, p), pts)
+                                lambda p: trace_residual_at(u, psi, [p])[0], pts)
 
 
 def failing_blocks():
@@ -180,7 +180,7 @@ def failing_blocks():
         "pullback_jets": (lambda x: pullback_jets(u, m, x), lambda p: pullback_jets(u, m, p),
                           vecs(near(pole))),
         "trace_residual_at": (lambda x: trace_residual_at(u, f, x),
-                              lambda p: trace_residual_at(u, f, p), vecs(near(crit))),
+                              lambda p: trace_residual_at(u, f, [p])[0], vecs(near(crit))),
         # |psi'| = e^-800 is below the 1e-300 a pullback needs
         "vanishing derivative": (lambda x: pullback_jets(u, ExpMap(), x),
                                  lambda p: pullback_jets(u, ExpMap(), p), vecs(near(-800.0))),

@@ -167,7 +167,7 @@ def test_solve_radial_sigma2_csv_round_trip(tmp_path, capsys):
     prof = minimize_on_circles(field, (0.0, 0.0), rows[::100, 0])
     bubble = Bubble(4.0, 32.0)
     for r, v in zip(prof.r, prof.v):
-        assert v == pytest.approx(bubble.radial_value(float(r)), abs=1e-6)
+        assert v == pytest.approx(float(bubble.values(r, 0.0)), abs=1e-6)
 
 
 def test_solve_radial_grid_must_start_at_zero(capsys):

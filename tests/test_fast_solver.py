@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from conformal2d import SolveConfig, StepFailure
 from conformal2d import radial
 from conformal2d.ops import sigma1, sigma2, weighted
-from conformal2d.radial import (StepCounts, _integrate_to_nodes, _lambda1_section_min,
-                                _lambda1_solver, _solve_lambda1)
+from conformal2d.radial import (StepCounts, _integrate_to_nodes, _lambda1_solver,
+                                _section_rule)
 from test_stepper import reference_integrate
 
 # -- reference: the solver as it was, one call per evaluation ---------------------
@@ -101,8 +101,7 @@ def test_per_solve_solver_matches_reference(f, lam2, r):
     cfg = SolveConfig()
     want = outcome(lambda: ref_solve_lambda1(f, f.cone, lam2, r, cfg))
     assert outcome(lambda: _lambda1_solver(f, f.cone, cfg)(lam2, r)) == want
-    assert outcome(lambda: _solve_lambda1(f, f.cone, lam2, r, cfg)) == want
-    assert outcome(lambda: _lambda1_section_min(lam2, f.cone)) == outcome(
+    assert outcome(lambda: _section_rule(f.cone)(lam2)) == outcome(
         lambda: ref_section_min(lam2, f.cone))
 
 

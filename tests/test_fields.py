@@ -171,7 +171,7 @@ class TestRadialField:
     def make(self, n=3001, derivatives=True):
         u = Bubble(1.0, 8.0)
         r = np.linspace(0.0, 5.0, n)
-        v = np.array([u.radial_value(t) for t in r])
+        v = u.values(r, 0.0)
         if not derivatives:
             return RadialField(RadialProfile(r, v))
         s = 8.0 * r * r + 8.0

@@ -40,19 +40,67 @@ covariance: the 1/2 of the u_z^2 term in b_from_jet raised by 1e-6.
     row                              tolerance  observed
     b-covariance                     1e-8       3.206e-3
     a-covariance-*                   1e-8       3.3e-11 at most (pass)
+
+trace: +1e-6 on _pulled_back's log-Jacobian term 2 ln|psi'|.  The trace rows
+read only the value and u_zzbar channels, so a mutant of q2 or q3 (v_z and
+v_zz each scaled by 1 + 1e-6 and shifted by 1e-6) reads 5.3e-15 at most and
+passes them.
+    row                              tolerance  observed
+    trace-z2, trace-iz2, trace-exp   1e-8       8.0e-6 each
+    a-covariance-fails-under-iz2     0          0 (passes: 0.75 stays > 0.5)
+
+liouville: +1e-6 on the ln 8 of LiouvilleField._jet_of.
+    row                              tolerance  observed
+    liouville-pde-z                  1e-7       7.947e-6
+    liouville-pde-exp                1e-7       2.0e-6
+    liouville-pde-cubic              1e-7       4.328e-5
+
+mass: ChenLiBubble.tail_mass off by 0.01 * 8 pi.
+    row                              tolerance  observed
+    mass-total[a=1], [a=0.55]        1e-3       0.01 each
+    mass-quadrature-oracle[*]        1e-8       6.4e-15 at most (pass: no
+                                                tail in the disc)
+
+bubble: the 512 / s^2 of Bubble.jet's Hessian raised by a relative 1e-6.
+    row                              tolerance  observed
+    bubble-constancy                 1e-10      1.743e-4
+    bubble-scaling                   1e-10      8.09e-6
+    bubble-kappa-fd-oracle           1e-5       2.094e-5
+
+cross: the 1/2 of the u_z^2 term in b_from_jet raised by 1e-6, as above.
+    row                              tolerance  observed
+    cross-representation             1e-10      5.055e-5
+
+monotone: the 4 of check_monotone_4log's v + 4 ln r lowered by 1e-6.
+    row                              tolerance  observed
+    monotone-4log-zero-slack         0          1.822e-7
+    monotone-bubbles                 1e-10      0 (passes: a bubble's rise
+                                                outruns 1e-6 ln r)
+    monotone-5log-rejected           0          0 (passes: -5 ln r still
+                                                falls)
+
+Across all eleven suites, the trace mutant also fails counterexample,
+covariance and spheres; each of the other five fails only its own suite.
+The envelope suite has no mutant yet: the one it needs, +1e-6 on one node,
+passes today's check.
 """
 
 import json
 import math
 
+import numpy as np
 import pytest
 
+import conformal2d.fields as fields
 import conformal2d.invariance as invariance
 import conformal2d.radial as radial
 import conformal2d.spheres as spheres
+import conformal2d.suites as suites
 from conformal2d.cli import main
-from conformal2d.geometry import Sym2
+from conformal2d.fields import Bubble, ChenLiBubble, Jet2, LiouvilleField
+from conformal2d.geometry import Sym2, Vec2
 from conformal2d.ops import Herm2
+from conformal2d.radial import RadialProfile
 from conformal2d.suites import solver_suite, spheres_suite
 
 KELVIN_SHIFT = 1e-6
@@ -178,3 +226,75 @@ def test_covariance_suite_fails_each_mutant(monkeypatch, tmp_path, capsys,
 def test_covariance_suite_passes_without_a_mutant(tmp_path, capsys):
     code, rows = covariance_verdict(tmp_path, capsys)
     assert code == 0 and len(rows) == 4
+
+
+# -- one mutant for each of six more suites ----------------------------------------
+
+SHIFT = 1e-6
+PULLED_BACK, JET_OF = fields._pulled_back, LiouvilleField._jet_of
+TAIL_MASS, BUBBLE_JET = ChenLiBubble.tail_mass, Bubble.jet
+CHECK_MONOTONE = suites.check_monotone_4log
+
+
+def log_jacobian_mutant(psi, mj, bj):
+    """_pulled_back with 2 ln|psi'| + SHIFT as the value's log-Jacobian term."""
+    j = PULLED_BACK(psi, mj, bj)
+    return Jet2(j.value + SHIFT, j.grad, j.hess)
+
+
+def ln8_mutant(self, fj):
+    """LiouvilleField._jet_of with ln 8 + SHIFT in place of ln 8."""
+    j = JET_OF(self, fj)
+    return Jet2(j.value + SHIFT, j.grad, j.hess)
+
+
+def tail_mutant(self, radius):
+    """tail_mass off by one percent of the total mass 8 pi."""
+    return TAIL_MASS(self, radius) + 0.01 * 8.0 * math.pi
+
+
+def bubble_hessian_mutant(self, x):
+    """Bubble.jet with 512 (1 + SHIFT) / s^2 as its Hessian's dx dx^T coefficient."""
+    j = BUBBLE_JET(self, x)
+    d = Vec2.of(x) - self.x0
+    e = SHIFT * 512.0 / (8.0 * (d.x1 * d.x1 + d.x2 * d.x2) + self.b) ** 2
+    return Jet2(j.value, j.grad, j.hess + Sym2(e * d.x1 * d.x1, e * d.x1 * d.x2, e * d.x2 * d.x2))
+
+
+def four_log_mutant(p, k0=0.0, slack=1e-10):
+    """check_monotone_4log on v + (4 - SHIFT) ln r in place of v + 4 ln r."""
+    return CHECK_MONOTONE(RadialProfile(p.r, p.v - SHIFT * np.log(p.r)), k0, slack)
+
+
+# suite: (owner, name, mutant, {failing row: (tolerance, observed error)})
+SIX = {
+    "trace": (fields, "_pulled_back", log_jacobian_mutant,
+              {"trace-z2": (1e-8, 8e-6), "trace-iz2": (1e-8, 8e-6), "trace-exp": (1e-8, 8e-6)}),
+    "liouville": (LiouvilleField, "_jet_of", ln8_mutant,
+                  {"liouville-pde-z": (1e-7, 7.947e-6), "liouville-pde-exp": (1e-7, 2e-6),
+                   "liouville-pde-cubic": (1e-7, 4.328e-5)}),
+    "mass": (ChenLiBubble, "tail_mass", tail_mutant,
+             {"mass-total[a=1]": (1e-3, 0.01), "mass-total[a=0.55]": (1e-3, 0.01)}),
+    "bubble": (Bubble, "jet", bubble_hessian_mutant,
+               {"bubble-constancy": (1e-10, 1.743e-4), "bubble-scaling": (1e-10, 8.09e-6),
+                "bubble-kappa-fd-oracle": (1e-5, 2.094e-5)}),
+    "cross": (suites, "b_from_jet", b_half_mutant,
+              {"cross-representation": (1e-10, 5.055e-5)}),
+    "monotone": (suites, "check_monotone_4log", four_log_mutant,
+                 {"monotone-4log-zero-slack": (0.0, 1.822e-7)}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SIX))
+def test_each_suite_fails_its_mutant(monkeypatch, capsys, suite):
+    owner, name, mutant, failing = SIX[suite]
+    monkeypatch.setattr(owner, name, mutant)
+    rows = {r.name: r for r in suites.SUITES[suite]()}
+    # observed errors against the tolerances in the table above
+    for row, (tol, err) in failing.items():
+        assert not rows[row].passed, row
+        assert rows[row].tolerance == tol
+        assert rows[row].max_error == pytest.approx(err, rel=1e-3)
+    assert all(r.passed for n, r in rows.items() if n not in failing)
+    assert main(["verify", "--suite", suite]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False

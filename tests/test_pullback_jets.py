@@ -109,6 +109,18 @@ def pulled(o):
     return ("ok", o[1][2]) if o[0] == "ok" else o
 
 
+def covariance_at(u, m, p):
+    """covariance_errors_at on the block of one [p]."""
+    [e] = covariance_errors_at(u, m, [p], [pullback_jets(u, m, p)])
+    return e
+
+
+def trace_at(u, psi, p):
+    """trace_residual_at on the block of one [p]."""
+    [res] = trace_residual_at(u, psi, [p])
+    return res
+
+
 # -- fixtures -------------------------------------------------------------------
 
 
@@ -161,9 +173,9 @@ def test_covariance_errors_are_bit_identical_to_the_reference(mi):
     m = MOBIUS[mi]
     for fname, u in FIELDS:
         for p in seeded_points(10 + mi):
-            assert outcome(covariance_errors_at, u, m, p) == outcome(
+            assert outcome(covariance_at, u, m, p) == outcome(
                 ref_covariance_errors_at, u, m, p), fname
-            assert outcome(trace_residual_at, u, m, p) == outcome(
+            assert outcome(trace_at, u, m, p) == outcome(
                 ref_trace_residual_at, u, m, p), fname
             assert outcome(b_covariance_errors_at, u, m, p) == outcome(
                 ref_b_covariance_errors_at, u, m, p), fname
@@ -174,7 +186,7 @@ def test_trace_residual_is_bit_identical_beyond_mobius(mi):
     psi = MAPS[mi]
     for fname, u in FIELDS:
         for p in seeded_points(20 + mi):
-            assert outcome(trace_residual_at, u, psi, p) == outcome(
+            assert outcome(trace_at, u, psi, p) == outcome(
                 ref_trace_residual_at, u, psi, p), fname
 
 
@@ -190,10 +202,10 @@ def test_vanishing_derivative_guard_is_where_it_was():
         if got[0] == "raised":
             raised += 1
             assert got[1:] == (DomainError, "vanishing derivative in pullback")
-        assert outcome(trace_residual_at, u, psi, p) == outcome(
+        assert outcome(trace_at, u, psi, p) == outcome(
             ref_trace_residual_at, u, psi, p)
         if isinstance(psi, MobiusMap):
-            assert outcome(covariance_errors_at, u, psi, p) == outcome(
+            assert outcome(covariance_at, u, psi, p) == outcome(
                 ref_covariance_errors_at, u, psi, p)
             assert outcome(b_covariance_errors_at, u, psi, p) == outcome(
                 ref_b_covariance_errors_at, u, psi, p)
@@ -229,8 +241,9 @@ class CountingMap(AnalyticMap):
         return self.inner.jet(z)
 
 
-@pytest.mark.parametrize("check", [covariance_errors_at, b_covariance_errors_at,
-                                   trace_residual_at, "usable"])
+@pytest.mark.parametrize("check", [
+    pytest.param(covariance_at, id="covariance_errors_at"), b_covariance_errors_at,
+    pytest.param(trace_at, id="trace_residual_at"), "usable"])
 def test_each_check_evaluates_each_jet_once(check):
     u = CountingField(FIELDS[6][1])  # a Liouville field on polynomial data
     m = CountingMap(MobiusMap(1.1, 0.2, 0.1, 1.0))

@@ -32,7 +32,7 @@ from conformal2d import (
     sigma2,
     weighted,
 )
-from conformal2d.radial import _ConeExitSignal, _lambda1_section_min, _solve_lambda1
+from conformal2d.radial import _ConeExitSignal, _lambda1_solver, _section_rule
 
 
 # -- profiles and eigenvalues ------------------------------------------------
@@ -42,7 +42,7 @@ def test_radial_lambda_matches_operator_on_bubble():
     u = Bubble(1.7, 5.0)
     for r in (0.3, 1.0, 2.6):
         s = 8.0 * r * r + u.b
-        v = u.radial_value(r)
+        v = float(u.values(r, 0.0))
         dv = -32.0 * r / s
         ddv = -32.0 / s + 512.0 * r * r / (s * s)
         got = radial_lambda(v, dv, ddv, r).as_sorted()
@@ -82,14 +82,6 @@ def test_profile_csv_header_validation(tmp_path):
         RadialProfile.from_csv(bad)
 
 
-def test_tabulate():
-    p = RadialProfile.tabulate(np.linspace(0.5, 1.5, 5), math.log,
-                               lambda t: 1.0 / t)
-    assert p.v[0] == pytest.approx(math.log(0.5))
-    assert p.dv[-1] == pytest.approx(1.0 / 1.5)
-    assert p.ddv is None
-
-
 # -- circle minima ------------------------------------------------------------
 
 
@@ -98,7 +90,7 @@ def test_minimize_on_circles_bubble_centered():
     radii = np.linspace(0.0, 3.0, 31)
     p = minimize_on_circles(u, (0.0, 0.0), radii)
     for r, v in zip(p.r, p.v):
-        assert v == pytest.approx(u.radial_value(r), abs=1e-12)
+        assert v == pytest.approx(float(u.values(r, 0.0)), abs=1e-12)
 
 
 def test_minimize_on_circles_exp_example():
@@ -127,7 +119,7 @@ def test_minimize_on_circles_reads_values_only(monkeypatch):
     radii = np.array([0.0, 0.2, 0.5, 1.0, 2.0, 7.5])
     t = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     coarse = np.array([u.values(r * np.cos(t), r * np.sin(t)).min() for r in radii])
-    want = np.array([u.radial_value(r + math.hypot(0.5, 0.3)) for r in radii])
+    want = Bubble(1.0, 8.0).values(radii + math.hypot(0.5, 0.3), 0.0)
 
     def boom(self, x):
         raise AssertionError("scalar evaluator called")
@@ -253,7 +245,7 @@ def test_envelope_interior_fallback_on_short_grids():
 def test_monotone_bubbles_pass_with_zero_k0():
     r = np.linspace(0.05, 40.0, 2000)
     for u in (Bubble(1.0, 8.0), Bubble(0.3, 11.0), ChenLiBubble(0.55).as_bubble()):
-        p = RadialProfile(r, [u.radial_value(t) for t in r])
+        p = RadialProfile(r, u.values(r, 0.0))
         rep = check_monotone_4log(p, k0=0.0)
         assert rep.passed, rep.summary_line()
         assert rep.extras["empirical_k0"] == 0.0
@@ -303,8 +295,7 @@ def test_monotone_reports_overflowing_drops():
 
 
 def closed_form_gap(result, bubble):
-    return float(np.abs(result.profile.v
-                        - [bubble.radial_value(t) for t in result.profile.r]).max())
+    return float(np.abs(result.profile.v - bubble.values(result.profile.r, 0.0)).max())
 
 
 def test_ode_solve_sigma2_is_unit_bubble():
@@ -362,19 +353,19 @@ def test_solver_completion_xor_exit():
 
 def test_lambda1_section_min_frozen():
     g2, g15 = ConeIndex(2.0), ConeIndex(1.5)
-    assert _lambda1_section_min(-0.1, g2) is None
-    assert _lambda1_section_min(2.0, g2) == 0.0
-    assert _lambda1_section_min(3.0, g15) == pytest.approx(-1.5)
+    assert _section_rule(g2)(-0.1) is None
+    assert _section_rule(g2)(2.0) == 0.0
+    assert _section_rule(g15)(3.0) == pytest.approx(-1.5)
 
 
 def test_solve_lambda1_signals_exit():
     cfg = SolveConfig()
     # sigma1 on Gamma_1.5 already exceeds 1 at the section's lower edge
     with pytest.raises(_ConeExitSignal):
-        _solve_lambda1(sigma1(ConeIndex(1.5)), ConeIndex(1.5), 3.0, 1.0, cfg)
+        _lambda1_solver(sigma1(ConeIndex(1.5)), ConeIndex(1.5), cfg)(3.0, 1.0)
     # empty section at negative lambda2 on Gamma_2
     with pytest.raises(_ConeExitSignal):
-        _solve_lambda1(sigma2(), ConeIndex(2.0), -0.5, 1.0, cfg)
+        _lambda1_solver(sigma2(), ConeIndex(2.0), cfg)(-0.5, 1.0)
 
 
 @pytest.mark.parametrize("v0", [800.0, -701.0, math.inf, math.nan])
@@ -389,7 +380,7 @@ LAM2_GRID = (-2.0, -0.5, -1e-3, 0.0, 1e-3, 0.05, 0.3, 0.5, 0.9, 0.99, 1.0,
 
 def lambda1_outcome(f, lam2):
     try:
-        return _solve_lambda1(f, f.cone, lam2, 1.0, SolveConfig())[0]
+        return _lambda1_solver(f, f.cone, SolveConfig())(lam2, 1.0)[0]
     except (_ConeExitSignal, StepFailure) as exc:
         return type(exc)
 
@@ -416,7 +407,7 @@ def test_closed_form_lambda1_matches_brentq(f):
 
 def test_solve_lambda1_interior_root():
     cfg = SolveConfig()
-    lam1, residual = _solve_lambda1(sigma2(), ConeIndex(2.0), 0.25, 1.0, cfg)
+    lam1, residual = _lambda1_solver(sigma2(), ConeIndex(2.0), cfg)(0.25, 1.0)
     assert lam1 == pytest.approx(4.0, abs=1e-12)
     assert residual <= cfg.root_residual_max
 
