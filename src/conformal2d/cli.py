@@ -45,8 +45,8 @@ _NUMERIC_FLAGS = {"--tol": None, "--eps": None, "--v0": None, "--cone": None,
                   "--lam-max": None, "--x": ",", "--grid": ":"}
 # non-finite floats as _emit_json spells them, keyed by repr
 _SPELLED = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# subcommands whose payloads always hold at least one check row
-_ROW_COMMANDS = ("verify", "envelope", "solve-radial")
+# the only subcommands whose payloads may hold no check rows
+_ROWLESS_COMMANDS = ("moving-spheres", "report")
 
 
 # -- report plumbing ----------------------------------------------------------
@@ -398,8 +398,9 @@ def cmd_report(args) -> int:
         # merged verdict cannot be recovered from the rows alone
         if not rows and passed is None:
             raise ConfigError(f"{path}: no check rows and no passed verdict")
-        if not rows and data.get("command") in _ROW_COMMANDS:
-            raise ConfigError(f"{path}: {data['command']} payload with no check rows")
+        command = data.get("command", "command-less")
+        if not rows and command not in _ROWLESS_COMMANDS:
+            raise ConfigError(f"{path}: {command} payload with no check rows")
         inputs_passed = inputs_passed and passed is not False
         for i, row in enumerate(rows):
             try:

@@ -1,17 +1,19 @@
 """Scalar conformal-factor fields and their exact second-order jets.
 
-Jets are produced in closed form for every built-in family.  The complex
-(Wirtinger) view of a jet is the working representation for pullbacks:
-with u_z = (u_x - i u_y)/2,
+Every built-in family writes its jet once, in closed form, as a Jet2 of the
+value and the Wirtinger channels: with u_z = (u_x - i u_y)/2,
 
     u_zz    = (u_xx - u_yy - 2 i u_xy)/4,
-    u_zzbar = (u_xx + u_yy)/4 = (Laplacian u)/4,
+    u_zzbar = (u_xx + u_yy)/4 = (Laplacian u)/4.
 
-and conversely u_xx = 2 u_zzbar + 2 Re u_zz, u_yy = 2 u_zzbar - 2 Re u_zz,
-u_xy = -2 Im u_zz.
+The pullback chain rule and the complex operator B(u) read the channels as
+they are.  The gradient and Hessian are views derived from them, with
+u_xx = 2 u_zzbar + 2 Re u_zz, u_yy = 2 u_zzbar - 2 Re u_zz, u_xy = -2 Im u_zz,
+and Jet2.from_real, their one inverse, builds a jet from real entries.
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import math
@@ -22,11 +24,12 @@ import numpy as np
 
 from ._scipy import CubicSpline
 from .errors import DomainError, ConjugatingUnsupported
-from .geometry import Vec2, Sym2, finite_coords
+from .geometry import Vec2, Sym2, _require_finite, finite_coords
 from .mobius import AnalyticMap, ComposedMap, ExpMap, MapJet, MobiusMap, PolynomialMap
 from .radial import RadialProfile
 
 _setattr = object.__setattr__
+_isfinite, _cisfinite = math.isfinite, cmath.isfinite
 
 # |psi'| below this has no usable log-Jacobian: pullbacks refuse the point
 VANISHING_DERIVATIVE = 1e-300
@@ -34,49 +37,46 @@ VANISHING_DERIVATIVE = 1e-300
 
 @dataclass(frozen=True, init=False)
 class Jet2:
-    """Value, gradient, and Hessian of a scalar field at a point.
+    """Value and Wirtinger channels u_z, u_zz, u_zzbar of a scalar field at a point.
 
-    Vec2 and Sym2 check the derivatives; the value is not checked here, and
-    a_from_jet and b_from_jet refuse an infinite one with OverflowError.
+    The three derivative channels are checked finite; the value is not
+    checked here, and a_from_jet and b_from_jet refuse an infinite one with
+    OverflowError.  grad, hess and laplacian are views derived from the
+    channels, and from_real is their one inverse.
     """
 
     value: float
-    grad: Vec2
-    hess: Sym2
+    u_z: complex
+    u_zz: complex
+    u_zzbar: float
 
-    def __init__(self, value: float, grad: Vec2, hess: Sym2) -> None:
+    def __init__(self, value: float, u_z: complex, u_zz: complex, u_zzbar: float) -> None:
+        if not (_cisfinite(u_z) and _cisfinite(u_zz) and _isfinite(u_zzbar)):
+            _require_finite(u_z, u_zz, u_zzbar)
         # as the generated frozen __init__, without its per-call overhead
         _setattr(self, "value", value)
-        _setattr(self, "grad", grad)
-        _setattr(self, "hess", hess)
+        _setattr(self, "u_z", u_z)
+        _setattr(self, "u_zz", u_zz)
+        _setattr(self, "u_zzbar", u_zzbar)
+
+    @classmethod
+    def from_real(cls, value: float, grad: Vec2, hess: Sym2) -> "Jet2":
+        return cls(value, complex(0.5 * grad.x1, -0.5 * grad.x2),
+                   complex(0.25 * (hess.a11 - hess.a22), -0.5 * hess.a12),
+                   0.25 * (hess.a11 + hess.a22))
 
     @property
-    def u_z(self) -> complex:
-        return complex(0.5 * self.grad.x1, -0.5 * self.grad.x2)
+    def grad(self) -> Vec2:
+        return Vec2(2.0 * self.u_z.real, -2.0 * self.u_z.imag)
 
     @property
-    def u_zz(self) -> complex:
-        h = self.hess
-        return complex(0.25 * (h.a11 - h.a22), -0.5 * h.a12)
-
-    @property
-    def u_zzbar(self) -> float:
-        return 0.25 * (self.hess.a11 + self.hess.a22)
+    def hess(self) -> Sym2:
+        r, zz = 2.0 * self.u_zzbar, self.u_zz
+        return Sym2(r + 2.0 * zz.real, -2.0 * zz.imag, r - 2.0 * zz.real)
 
     @property
     def laplacian(self) -> float:
-        return self.hess.a11 + self.hess.a22
-
-    @classmethod
-    def from_wirtinger(cls, value: float, u_z: complex, u_zz: complex,
-                       u_zzbar: float) -> "Jet2":
-        grad = Vec2(2.0 * u_z.real, -2.0 * u_z.imag)
-        hess = Sym2(
-            2.0 * u_zzbar + 2.0 * u_zz.real,
-            -2.0 * u_zz.imag,
-            2.0 * u_zzbar - 2.0 * u_zz.real,
-        )
-        return cls(float(value), grad, hess)
+        return 4.0 * self.u_zzbar
 
 
 class ScalarField:
@@ -121,7 +121,7 @@ class ConstantField(ScalarField):
 
     def jet(self, x) -> Jet2:
         Vec2.of(x)
-        return Jet2(self.c, Vec2(0.0, 0.0), Sym2(0.0, 0.0, 0.0))
+        return Jet2(self.c, 0j, 0j, 0.0)
 
     def values(self, x1, x2) -> np.ndarray:
         return np.full(finite_coords(x1, x2)[0].shape, float(self.c))
@@ -134,12 +134,9 @@ class QuadraticField(ScalarField):
     a: float
 
     def jet(self, x) -> Jet2:
-        p = Vec2.of(x)
-        return Jet2(
-            self.a * p.x1 * p.x1,
-            Vec2(2.0 * self.a * p.x1, 0.0),
-            Sym2(2.0 * self.a, 0.0, 0.0),
-        )
+        x1 = Vec2.of(x).x1
+        return Jet2(self.a * x1 * x1, complex(self.a * x1, 0.0),
+                    complex(0.5 * self.a, 0.0), 0.5 * self.a)
 
     def values(self, x1, x2) -> np.ndarray:
         x1 = finite_coords(x1, x2)[0]
@@ -165,17 +162,13 @@ class Bubble(ScalarField):
 
     def jet(self, x) -> Jet2:
         p = Vec2.of(x)
-        dx = p - self.x0
-        s = 8.0 * (dx.x1 * dx.x1 + dx.x2 * dx.x2) + self.b
+        d1, d2 = p.x1 - self.x0.x1, p.x2 - self.x0.x2
+        s = 8.0 * (d1 * d1 + d2 * d2) + self.b
         value = 2.0 * math.log(8.0 * self.a) - 2.0 * math.log(s)
-        g = dx * (-32.0 / s)
-        c = 512.0 / (s * s)
-        hess = Sym2(
-            -32.0 / s + c * dx.x1 * dx.x1,
-            c * dx.x1 * dx.x2,
-            -32.0 / s + c * dx.x2 * dx.x2,
-        )
-        return Jet2(value, g, hess)
+        # u_z = -16 conj(x - x0) / s, u_zz = u_z^2 / 2, u_zzbar = -16 b / s^2
+        c = -16.0 / s
+        u_z = complex(c * d1, -c * d2)
+        return Jet2(value, u_z, 0.5 * u_z * u_z, c * self.b / s)
 
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
@@ -281,7 +274,7 @@ class LiouvilleField(ScalarField):
         value = math.log(8.0) + 2.0 * math.log(abs(d1)) - 2.0 * log_m
         u_z = q - 2.0 * wc * d1 / m
         u_zz = (d3 / d1 - q * q) - 2.0 * wc * d2 / m + 2.0 * (wc * d1 / m) ** 2
-        return Jet2.from_wirtinger(value, u_z, u_zz, u_zzbar)
+        return Jet2(value, u_z, u_zz, u_zzbar)
 
     def values(self, x1, x2) -> np.ndarray:
         return PullbackField(_STANDARD_BUBBLE, self.f).values(x1, x2)
@@ -356,15 +349,13 @@ class RadialField(ScalarField):
             ddv = float(sv(r, 2))
         if r < 1e-7:
             # radial/tangential split degenerates; both curvatures -> S''(0)
-            return Jet2(v, Vec2(0.0, 0.0), Sym2(ddv, 0.0, ddv))
-        cx, cy = dx.x1 / r, dx.x2 / r
+            return Jet2(v, 0j, 0j, 0.5 * ddv)
+        # zeta = e^{-i theta}: u_z = v' zeta / 2, u_zz = (v'' - v'/r) zeta^2 / 4,
+        # u_zzbar = (v'' + v'/r) / 4
+        zeta = complex(dx.x1 / r, -dx.x2 / r)
         tang = dv / r
-        hess = Sym2(
-            ddv * cx * cx + tang * cy * cy,
-            (ddv - tang) * cx * cy,
-            ddv * cy * cy + tang * cx * cx,
-        )
-        return Jet2(v, Vec2(dv * cx, dv * cy), hess)
+        return Jet2(v, 0.5 * dv * zeta, 0.25 * (ddv - tang) * zeta * zeta,
+                    0.25 * (ddv + tang))
 
     def values(self, x1, x2) -> np.ndarray:
         x1, x2 = finite_coords(x1, x2)
@@ -444,7 +435,7 @@ def _pulled_back(psi: AnalyticMap, mj: MapJet, bj: Jet2) -> Jet2:
         v_zz = v_zz.conjugate()
     v_zzbar = uwwbar * (mj.d1 * mj.d1.conjugate()).real
     value = bj.value + 2.0 * math.log(abs(mj.d1))
-    return Jet2.from_wirtinger(value, v_z, v_zz, v_zzbar)
+    return Jet2(value, v_z, v_zz, v_zzbar)
 
 
 def fd_jet(u: ScalarField, x, h: float | None = None, richardson: bool = False) -> Jet2:
@@ -463,27 +454,20 @@ def fd_jet(u: ScalarField, x, h: float | None = None, richardson: bool = False) 
     o1 = np.array([0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0])
     o2 = np.array([0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
-    def stencil(step: float) -> tuple[float, Vec2, Sym2]:
+    def stencil(step: float) -> list[float]:
+        """The value and the entries gx, gy, hxx, hxy, hyy."""
         f00, fe, fw, fn, fs, fne, fse, fnw, fsw = u.values(
             p.x1 + step * o1, p.x2 + step * o2).tolist()
-        gx = (fe - fw) / (2.0 * step)
-        gy = (fn - fs) / (2.0 * step)
-        hxx = (fe - 2.0 * f00 + fw) / (step * step)
-        hyy = (fn - 2.0 * f00 + fs) / (step * step)
-        hxy = (fne - fse - fnw + fsw) / (4.0 * step * step)
-        return f00, Vec2(gx, gy), Sym2(hxx, hxy, hyy)
+        return [f00, (fe - fw) / (2.0 * step), (fn - fs) / (2.0 * step),
+                (fe - 2.0 * f00 + fw) / (step * step),
+                (fne - fse - fnw + fsw) / (4.0 * step * step),
+                (fn - 2.0 * f00 + fs) / (step * step)]
 
-    f00, g1, h1 = stencil(h)
-    if not richardson:
-        return Jet2(f00, g1, h1)
-    _, g2, h2 = stencil(0.5 * h)
-    grad = Vec2((4.0 * g2.x1 - g1.x1) / 3.0, (4.0 * g2.x2 - g1.x2) / 3.0)
-    hess = Sym2(
-        (4.0 * h2.a11 - h1.a11) / 3.0,
-        (4.0 * h2.a12 - h1.a12) / 3.0,
-        (4.0 * h2.a22 - h1.a22) / 3.0,
-    )
-    return Jet2(f00, grad, hess)
+    f00, *e = stencil(h)
+    if richardson:
+        e = [(4.0 * e2 - e1) / 3.0 for e1, e2 in zip(e, stencil(0.5 * h)[1:])]
+    gx, gy, hxx, hxy, hyy = e
+    return Jet2.from_real(f00, Vec2(gx, gy), Sym2(hxx, hxy, hyy))
 
 
 # -- serialization -----------------------------------------------------------

@@ -6,6 +6,7 @@ tolerance checks.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,9 +22,9 @@ _isfinite = math.isfinite
 _setattr = object.__setattr__
 
 
-def _require_finite(*values: float) -> None:
+def _require_finite(*values: complex) -> None:
     for v in values:
-        if not math.isfinite(v):
+        if not cmath.isfinite(v):
             raise ValueError(f"non-finite entry {v!r}")
 
 

@@ -156,15 +156,13 @@ def _covariance_block(m: MobiusMap, jets) -> list[CovarianceErrors]:
     return list(map(CovarianceErrors, matrix.tolist(), tensor.tolist(), eigen.tolist()))
 
 
-def covariance_errors_at(u: ScalarField, m: MobiusMap, pts, jets) -> list[CovarianceErrors]:
-    """CovarianceErrors at each point of the block pts, whose
-    pullback_jets(u, m, p) triples jets holds in order.
+def covariance_errors_at(m: MobiusMap, jets) -> list[CovarianceErrors]:
+    """CovarianceErrors at each point of a block, from its pullback_jets
+    triples through m, in order.
 
     The law is pointwise, so a block computes what its points would one at
     a time, bit for bit, and raises what the first failing point raises.
     """
-    if len(jets) != len(pts):
-        raise ValueError(f"{len(pts)} points but {len(jets)} jets")
     try:
         return _covariance_block(m, jets)
     except NUMERICAL_ERRORS:

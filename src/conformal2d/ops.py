@@ -84,13 +84,15 @@ def a_from_jet(j: "Jet2") -> Sym2:
     if abs(j.value) > VALUE_OVERFLOW:
         raise OverflowError(f"|u| = {abs(j.value):.3g} too large for e^(-u)")
     e = math.exp(-j.value)
-    gx, gy = j.grad.x1, j.grad.x2
-    h = j.hess
+    # the gradient and Hessian entries of the jet's channels, as Jet2's views
+    gx, gy = 2.0 * j.u_z.real, -2.0 * j.u_z.imag
+    r, zz = 2.0 * j.u_zzbar, j.u_zz
+    h11, h12, h22 = r + 2.0 * zz.real, -2.0 * zz.imag, r - 2.0 * zz.real
     q = gx * gx + gy * gy
     return Sym2(
-        e * (-h.a11 + 0.5 * gx * gx - 0.25 * q),
-        e * (-h.a12 + 0.5 * gx * gy),
-        e * (-h.a22 + 0.5 * gy * gy - 0.25 * q),
+        e * (-h11 + 0.5 * gx * gx - 0.25 * q),
+        e * (-h12 + 0.5 * gx * gy),
+        e * (-h22 + 0.5 * gy * gy - 0.25 * q),
     )
 
 

@@ -179,7 +179,7 @@ def covariance_suite(seed: Optional[int] = None,
         for fname, u in fields:
             jets: list = []
             pts = valid_points(rng, 50, _usable_for(u, m, jets))
-            for p, e in zip(pts, covariance_errors_at(u, m, pts, jets)):
+            for p, e in zip(pts, covariance_errors_at(m, jets)):
                 label = f"map{mi}/{fname}@({p.x1:.3g},{p.x2:.3g})"
                 rows["matrix"].append((label, e.matrix))
                 rows["tensor"].append((label, e.tensor))
@@ -252,7 +252,7 @@ def liouville_suite(seed: Optional[int] = None,
         labeled = []
         pts = _box_points(rng, 200, (-1.2, 1.2), (-1.2, 1.2))
         for p, j in zip(pts, u.jets(pts)):
-            res = abs(-(j.hess.a11 + j.hess.a22) - math.exp(j.value))
+            res = abs(-j.laplacian - math.exp(j.value))
             labeled.append((f"({p.x1:.3g},{p.x2:.3g})", res))
         out.append(CheckReport.from_labeled(f"liouville-pde-{name}", labeled, tol))
     return out
@@ -360,7 +360,7 @@ def cross_suite(seed: Optional[int] = None, tol: Optional[float] = None,
     lows = [-2.0, -3.0, -3.0, -5.0, -5.0, -5.0]
     rows = rng.uniform(lows, [-x for x in lows], (n, 6))
     for i, (v, g1, g2, a11, a12, a22) in enumerate(rows.tolist()):
-        j = Jet2(v, Vec2(g1, g2), Sym2(a11, a12, a22))
+        j = Jet2.from_real(v, Vec2(g1, g2), Sym2(a11, a12, a22))
         ea = eig2(a_from_jet(j))
         h = b_from_jet(j)
         hi, lo = h.zzbar + abs(h.zz), h.zzbar - abs(h.zz)

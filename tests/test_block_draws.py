@@ -150,5 +150,5 @@ def test_an_infinite_derivative_raises_before_any_warning(d1):
         with pytest.raises(ValueError, match="non-finite entry") as direct:
             m.jacobian_of(bad)
         with pytest.raises(ValueError, match="non-finite entry") as block:
-            invariance.covariance_errors_at(u, m, pts, jets)
+            invariance.covariance_errors_at(m, jets)
     assert str(block.value) == str(direct.value)

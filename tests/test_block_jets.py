@@ -285,7 +285,7 @@ def test_a_covariance_block_builds_the_derivatives_once(polyder_calls):
     u, m = FIELDS[6], MOBIUS[0]  # a Liouville field on quadratic data
     jets = []
     pts = valid_points(np.random.default_rng(3), 50, suites._usable_for(u, m, jets))
-    errs = covariance_errors_at(u, m, pts, jets)
+    errs = covariance_errors_at(m, jets)
     assert len(pts) == len(errs) == 50
     assert sorted(polyder_calls) == [(1,), (2,), (3,)]
 

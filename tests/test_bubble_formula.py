@@ -81,7 +81,7 @@ def test_standard_bubble_is_the_liouville_solution():
 
 def test_exp_example_is_finite_far_left():
     u, p = exp_example(), Vec2(-20.0, 0.3)
-    j = u.jet(p)  # Vec2 and Sym2 refuse non-finite gradient and Hessian entries
+    j = u.jet(p)  # Jet2 refuses non-finite derivative channels
     assert math.isfinite(j.value)
     assert np.isfinite(u.values([-20.0, -30.0], 0.3)).all()
     assert -j.laplacian == pytest.approx(math.exp(j.value), rel=1e-11)

@@ -266,7 +266,8 @@ def test_report_propagates_failures(tmp_path, capsys):
 def test_report_respects_checkless_verdict(tmp_path, capsys):
     # experiment payloads carry passed but no check rows; the merge
     # must not launder their failure into a clean report
-    doc = {"schema": "conformal2d/1", "checks": [], "passed": False}
+    doc = {"schema": "conformal2d/1", "command": "moving-spheres", "checks": [],
+           "passed": False}
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "m.json"

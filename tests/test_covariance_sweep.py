@@ -169,20 +169,18 @@ def test_a_raising_block_raises_what_the_first_failing_point_raises(monkeypatch,
     monkeypatch.setattr(invariance, "a_from_jet", a_from_jet)
     want = outcome(lambda: [ref_covariance_errors_at(u, m, p) for p in pts])
     assert want[0] == "raised"
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets)) == want
     k = min(k for k, _, _ in failing)
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts[:k], jets[:k])) == (
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets[:k])) == (
         "ok", [ref_covariance_errors_at(u, m, p) for p in pts[:k]])
 
 
 def test_a_clean_block_is_its_points_one_at_a_time():
     u, m, pts, jets = sampled_block()
-    block = invariance.covariance_errors_at(u, m, pts, jets)
+    block = invariance.covariance_errors_at(m, jets)
     assert block == [e for p, j in zip(pts, jets)
-                     for e in invariance.covariance_errors_at(u, m, [p], [j])]
+                     for e in invariance.covariance_errors_at(m, [j])]
     assert block == [ref_covariance_errors_at(u, m, p) for p in pts]
-    with pytest.raises(ValueError, match="12 points but 11 jets"):
-        invariance.covariance_errors_at(u, m, pts, jets[:-1])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -197,7 +195,7 @@ def test_a_raising_jacobian_is_reported_for_its_point(d1):
     jets[2] = (bad, *jets[2][1:])
     want = outcome(lambda: m.jacobian_of(bad))
     assert want[0] == "raised"
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets)) == want
 
 
 # -- the operator step's failures: huge finite A at chosen points --------------------
@@ -260,8 +258,8 @@ def test_each_operator_failure_raises_as_the_point_does(monkeypatch, kind):
     assert (outcome(lambda: eig2(a_v)) == want) is (kind == "eigen")
     if kind == "difference":
         assert outcome(lambda: (eig2(a_v), eig2(a_u)))[0] == "ok"
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts[2:3], jets[2:3])) == want
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets[2:3])) == want
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets)) == want
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -278,8 +276,8 @@ def test_a_block_with_operator_failures_raises_the_first(monkeypatch, failing):
     want = outcome(lambda: [ref_covariance_errors_at(u, m, p) for p in pts])
     first = min(k for k, _ in failing)
     assert want == outcome(lambda: ref_covariance_errors_at(u, m, pts[first]))
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts[:first], jets[:first])) == (
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets)) == want
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets[:first])) == (
         "ok", [ref_covariance_errors_at(u, m, p) for p in pts[:first]])
 
 
@@ -298,4 +296,4 @@ def test_an_earlier_step_failing_later_in_the_block_is_replayed(monkeypatch):
     monkeypatch.setattr(invariance, "a_from_jet", a_from_jet)
     want = outcome(lambda: [ref_covariance_errors_at(u, m, p) for p in pts])
     assert want == outcome(lambda: ref_covariance_errors_at(u, m, pts[5]))
-    assert outcome(lambda: invariance.covariance_errors_at(u, m, pts, jets)) == want
+    assert outcome(lambda: invariance.covariance_errors_at(m, jets)) == want

@@ -30,7 +30,7 @@ from conformal2d.fields import pullback_jets
 
 def errors_at(u, m, pts):
     """covariance_errors_at on the block pts, with its pullback jets."""
-    return covariance_errors_at(u, m, pts, [pullback_jets(u, m, p) for p in pts])
+    return covariance_errors_at(m, [pullback_jets(u, m, p) for p in pts])
 
 
 def test_counterexample_frozen_matrices():

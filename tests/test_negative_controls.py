@@ -239,13 +239,13 @@ CHECK_MONOTONE = suites.check_monotone_4log
 def log_jacobian_mutant(psi, mj, bj):
     """_pulled_back with 2 ln|psi'| + SHIFT as the value's log-Jacobian term."""
     j = PULLED_BACK(psi, mj, bj)
-    return Jet2(j.value + SHIFT, j.grad, j.hess)
+    return Jet2(j.value + SHIFT, j.u_z, j.u_zz, j.u_zzbar)
 
 
 def ln8_mutant(self, fj):
     """LiouvilleField._jet_of with ln 8 + SHIFT in place of ln 8."""
     j = JET_OF(self, fj)
-    return Jet2(j.value + SHIFT, j.grad, j.hess)
+    return Jet2(j.value + SHIFT, j.u_z, j.u_zz, j.u_zzbar)
 
 
 def tail_mutant(self, radius):
@@ -254,11 +254,13 @@ def tail_mutant(self, radius):
 
 
 def bubble_hessian_mutant(self, x):
-    """Bubble.jet with 512 (1 + SHIFT) / s^2 as its Hessian's dx dx^T coefficient."""
+    """Bubble.jet with 512 (1 + SHIFT) / s^2 as its Hessian's dx dx^T coefficient:
+    e dx dx^T adds e conj(dx)^2 / 4 to u_zz and e |dx|^2 / 4 to u_zzbar."""
     j = BUBBLE_JET(self, x)
-    d = Vec2.of(x) - self.x0
-    e = SHIFT * 512.0 / (8.0 * (d.x1 * d.x1 + d.x2 * d.x2) + self.b) ** 2
-    return Jet2(j.value, j.grad, j.hess + Sym2(e * d.x1 * d.x1, e * d.x1 * d.x2, e * d.x2 * d.x2))
+    d = (Vec2.of(x) - self.x0).to_complex()
+    e = SHIFT * 512.0 / (8.0 * abs(d) ** 2 + self.b) ** 2
+    return Jet2(j.value, j.u_z, j.u_zz + 0.25 * e * d.conjugate() ** 2,
+                j.u_zzbar + 0.25 * e * abs(d) ** 2)
 
 
 def four_log_mutant(p, k0=0.0, slack=1e-10):

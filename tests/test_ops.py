@@ -32,7 +32,7 @@ finite = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 
 
 def make_jet(value, gx, gy, h11, h12, h22):
-    return Jet2(value, Vec2(gx, gy), Sym2(h11, h12, h22))
+    return Jet2.from_real(value, Vec2(gx, gy), Sym2(h11, h12, h22))
 
 
 def test_a_frozen_identity_jet():

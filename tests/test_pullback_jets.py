@@ -58,7 +58,7 @@ def ref_pullback_jet(u, psi, x):
         v_zz = v_zz.conjugate()
     v_zzbar = uwwbar * (mj.d1 * mj.d1.conjugate()).real
     value = bj.value + 2.0 * math.log(abs(mj.d1))
-    return Jet2.from_wirtinger(value, v_z, v_zz, v_zzbar)
+    return Jet2(value, v_z, v_zz, v_zzbar)
 
 
 def ref_covariance_errors_at(u, m, x):
@@ -111,7 +111,7 @@ def pulled(o):
 
 def covariance_at(u, m, p):
     """covariance_errors_at on the block of one [p]."""
-    [e] = covariance_errors_at(u, m, [p], [pullback_jets(u, m, p)])
+    [e] = covariance_errors_at(m, [pullback_jets(u, m, p)])
     return e
 
 

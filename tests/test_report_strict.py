@@ -106,7 +106,8 @@ def test_report_keeps_every_row_of_a_report_merged_with_itself(tmp_path, capsys,
 
 
 def test_report_accepts_a_checkless_payload_with_a_verdict(tmp_path, capsys):
-    doc = {"schema": "conformal2d/1", "checks": [], "passed": True}
+    doc = {"schema": "conformal2d/1", "command": "moving-spheres", "checks": [],
+           "passed": True}
     assert run_report(tmp_path, capsys, doc)[0] == 0
 
 
@@ -115,6 +116,18 @@ def test_report_refuses_a_row_writing_payload_with_no_rows(tmp_path, capsys, wri
     doc = dict(written, command=command, checks=[])
     code, path, err = run_report(tmp_path, capsys, doc)
     assert (code, err) == (2, f"config error: {path}: {command} payload with no check rows\n")
+
+
+@pytest.mark.parametrize("command", [None, "solve-bubble", 5])
+def test_report_refuses_a_rowless_payload_of_any_other_command(tmp_path, capsys, written,
+                                                             command):
+    """Only moving-spheres and report payloads may hold no rows; None deletes the key."""
+    doc = dict(written, command=command, checks=[])
+    if command is None:
+        del doc["command"]
+    code, path, err = run_report(tmp_path, capsys, doc)
+    name = "command-less" if command is None else command
+    assert (code, err) == (2, f"config error: {path}: {name} payload with no check rows\n")
 
 
 @pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])

@@ -1,15 +1,19 @@
 """Each formula the covariance block and the radial solver share with the
 one-point routes has one definition: the block calls the scalar routes'
 helpers, ode_solve ends on a cone exit in one place, radial writes CSV
-through one writer, and every handler that catches a numerical error
-names one tuple."""
+through one writer, every handler that catches a numerical error names
+one tuple, and a jet has one format, its Wirtinger channels."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import conformal2d
+import conformal2d.fields as fields
 import conformal2d.invariance as invariance
 import conformal2d.radial as radial
+import conformal2d.suites as suites
+from conformal2d import Jet2
 
 SRC = Path(conformal2d.__file__).parent
 
@@ -68,3 +72,24 @@ def test_numerical_errors_are_one_tuple():
     assert not [h for h in handlers if "ArithmeticError" in h]
     # the CLI's two handlers, the covariance block's replay and the probe's fallback
     assert handlers.count("NUMERICAL_ERRORS") == 4
+
+
+def test_a_jet_is_its_wirtinger_channels():
+    assert [f.name for f in dataclasses.fields(Jet2)] == ["value", "u_z", "u_zz", "u_zzbar"]
+    defined = {node.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert "from_wirtinger" not in defined
+
+
+def from_real_calls(node):
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and ast.unparse(call.func).endswith("from_real")]
+
+
+def test_from_real_is_called_only_by_fd_jet_and_cross_suite():
+    everywhere = [call for path in sorted(SRC.glob("*.py"))
+                  for call in from_real_calls(ast.parse(path.read_text()))]
+    fd = from_real_calls(functions(fields)["fd_jet"])
+    cross = from_real_calls(functions(suites)["cross_suite"])
+    assert fd and cross and len(fd) + len(cross) == len(everywhere)

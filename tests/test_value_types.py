@@ -27,12 +27,12 @@ CASES = [
     (Vec2, (1.5, -0.25), "Vec2(x1=1.5, x2=-0.25)"),
     (Sym2, (2.0, -0.5, 3.25), "Sym2(a11=2.0, a12=-0.5, a22=3.25)"),
     (EigenPair, (3.0, -1.0), "EigenPair(lambda1=3.0, lambda2=-1.0)"),
-    (Jet2, (0.5, Vec2(1.0, 2.0), Sym2(0.0, 1.0, 0.0)),
-     "Jet2(value=0.5, grad=Vec2(x1=1.0, x2=2.0), hess=Sym2(a11=0.0, a12=1.0, a22=0.0))"),
+    (Jet2, (0.5, complex(0.5, -1.0), complex(0.0, -0.5), 0.25),
+     "Jet2(value=0.5, u_z=(0.5-1j), u_zz=-0.5j, u_zzbar=0.25)"),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
 FIELDS = {Vec2: ("x1", "x2"), Sym2: ("a11", "a12", "a22"),
-          EigenPair: ("lambda1", "lambda2"), Jet2: ("value", "grad", "hess")}
+          EigenPair: ("lambda1", "lambda2"), Jet2: ("value", "u_z", "u_zz", "u_zzbar")}
 
 
 @pytest.mark.parametrize("cls, args, text", CASES, ids=IDS)
@@ -77,6 +77,9 @@ def test_frozen_and_dataclass_fields(cls, args, text):
     (lambda: EigenPair(1.0, math.inf), "non-finite entry inf"),
     (lambda: EigenPair(0.0, 1.0), "eigenvalues must be ordered lambda1 >= lambda2"),
     (lambda: EigenPair(-math.inf, 1.0), "non-finite entry -inf"),
+    (lambda: Jet2(0.0, complex(math.inf, 0.0), 0j, 0.0), "non-finite entry (inf+0j)"),
+    (lambda: Jet2(0.0, 0j, complex(0.0, math.nan), 0.0), "non-finite entry nanj"),
+    (lambda: Jet2(0.0, 0j, 0j, -math.inf), "non-finite entry -inf"),
 ])
 def test_error_messages(build, message):
     with pytest.raises(ValueError) as info:
@@ -98,7 +101,7 @@ def test_entries_are_stored_as_given():
 
 def test_jet_value_is_not_checked():
     # a_from_jet refuses an infinite value with OverflowError
-    assert Jet2(-math.inf, Vec2(0.0, 0.0), Sym2(0.0, 0.0, 0.0)).value == -math.inf
+    assert Jet2(-math.inf, 0j, 0j, 0.0).value == -math.inf
 
 
 def test_bubble_with_its_default_center_codes_bit_for_bit():
