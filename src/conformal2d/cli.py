@@ -362,16 +362,13 @@ def _stored_check(row) -> CheckReport:
     tolerance = _stored_number(row["tolerance"])
     if not isinstance(row["passed"], bool):
         raise ValueError(f"passed {row['passed']!r} is not a JSON bool")
-    # CheckReport refuses a verdict that disagrees with its numbers
-    return CheckReport(
-        name=row["name"],
-        points_tested=points,
-        max_error=max_error,
-        tolerance=tolerance,
-        passed=row["passed"],
-        witnesses=tuple((label, _stored_number(e)) for label, e in witnesses),
-        extras=extras,
-    )
+    rep = CheckReport(row["name"], points, max_error, tolerance,
+                      witnesses=tuple((label, _stored_number(e)) for label, e in witnesses),
+                      extras=extras)
+    if row["passed"] != rep.passed:
+        raise ValueError(f"passed {row['passed']!r} disagrees with max_error "
+                         f"{max_error!r} <= tolerance {tolerance!r}")
+    return rep
 
 
 def cmd_report(args) -> int:

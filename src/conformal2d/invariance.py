@@ -184,23 +184,23 @@ def trace_residual_at(u: ScalarField, psi: AnalyticMap, pts: list) -> list[float
     return out
 
 
-def b_covariance_errors_at(u: ScalarField, m: MobiusMap, x: Vec2,
-                           jets=None) -> tuple[float, float]:
-    """Entry law and spectral invariance of the Hermitian form.
+def b_covariance_errors_at(m: MobiusMap, jets) -> list[tuple[float, float]]:
+    """Entry law and spectral invariance of the Hermitian form: one
+    (entry_err, eig_err) pair per pullback_jets triple through m, in order.
 
     B(u_psi)_zzbar(x) = B(u)_zzbar(psi(x)) and the off-diagonal entry picks
     up the unit phase psi'/conj(psi'): B(u_psi)_zz = phase * B(u)_zz o psi.
-    jets, if at hand, is pullback_jets(u, m, x).
     """
     if m.conjugating:
         raise ConjugatingUnsupported("B-covariance stated for holomorphic maps")
-    mj, base_jet, v_jet = pullback_jets(u, m, x) if jets is None else jets
-    b_v, b_u = b_from_jet(v_jet), b_from_jet(base_jet)
-    phase = mj.d1 / mj.d1.conjugate()
-    entry_err = max(abs(b_v.zzbar - b_u.zzbar), abs(b_v.zz - phase * b_u.zz))
-    ev, eu = b_v.eigs(), b_u.eigs()
-    eig_err = max(abs(ev.lambda1 - eu.lambda1), abs(ev.lambda2 - eu.lambda2))
-    return entry_err, eig_err
+    out = []
+    for mj, base_jet, v_jet in jets:
+        b_v, b_u = b_from_jet(v_jet), b_from_jet(base_jet)
+        phase = mj.d1 / mj.d1.conjugate()
+        ev, eu = b_v.eigs(), b_u.eigs()
+        out.append((max(abs(b_v.zzbar - b_u.zzbar), abs(b_v.zz - phase * b_u.zz)),
+                    max(abs(ev.lambda1 - eu.lambda1), abs(ev.lambda2 - eu.lambda2))))
+    return out
 
 
 @dataclass(frozen=True)

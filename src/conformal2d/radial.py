@@ -525,9 +525,9 @@ def _integrate_to_nodes(rhs, r0: float, v0: float, w0: float, nodes,
         counts.accepted, counts.rejected, counts.rhs_evals = accepted, rejected, nfev
 
 
-def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0.0,
-              r_max: float = 5.0, cfg: SolveConfig | None = None) -> RadialSolveResult:
-    """Shoot the radial equation f(lambda1, lambda2) = 1 from v(0) = v0.
+def ode_solve(f: SymmetricFunction, v0: float = 0.0, r_max: float = 5.0,
+              cfg: SolveConfig | None = None) -> RadialSolveResult:
+    """Shoot the radial equation f(lambda1, lambda2) = 1 on f.cone from v(0) = v0.
 
     The center value fixes everything: v'(0) = 0 and v''(0) = -mu e^{v0}
     with the diagonal seed f(mu, mu) = 1, so that lambda(0) = (mu, mu).  A
@@ -539,10 +539,9 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
     if not abs(v0) <= VALUE_OVERFLOW:
         raise SeedError(f"|v0| = {abs(v0):g} exceeds {VALUE_OVERFLOW:g}")
     cfg = cfg or SolveConfig()
-    cone = cone or f.cone
     mu = _diagonal_seed(f)
     c2 = -mu * math.exp(v0)
-    solve = _lambda1_solver(f, cone, cfg)
+    solve = _lambda1_solver(f, f.cone, cfg)
 
     r_out = np.linspace(0.0, r_max, cfg.n_out)
     rows: list[tuple[float, float, float, float, float, float]] = []
@@ -556,7 +555,7 @@ def ode_solve(f: SymmetricFunction, cone: ConeIndex | None = None, v0: float = 0
         else:
             lam2 = exp(-v) * (-w / rt - 0.25 * w * w)
             lam1, residual = solve(lam2, rt)
-            if cone_margin(lam1, lam2, cone) <= 0.0:
+            if cone_margin(lam1, lam2, f.cone) <= 0.0:
                 raise _ConeExitSignal(rt)
         rows.append((rt, v, w, lam1, lam2, residual))
 
@@ -597,9 +596,9 @@ class BoundaryResult:
 
 
 def boundary_solve(cone: ConeIndex, r0: float, v0: float, w0: float,
-                   r_max: float, n_out: int = 201,
-                   cfg: SolveConfig | None = None) -> BoundaryResult:
-    """Integrate the cone-boundary equation lambda2 = (p-2) lambda1.
+                   r_max: float, cfg: SolveConfig | None = None) -> BoundaryResult:
+    """Integrate the cone-boundary equation lambda2 = (p-2) lambda1 onto
+    cfg.n_out nodes from r0 to r_max (default SolveConfig(n_out=201)).
 
     This samples radial supersolutions sitting exactly on the boundary ray
     through (1, -(2-p)); it needs p < 2 so the ray determines lambda1 from
@@ -610,7 +609,7 @@ def boundary_solve(cone: ConeIndex, r0: float, v0: float, w0: float,
     if r0 <= 0.0:
         raise ValueError("r0 must be positive")
     s = cone.p - 2.0
-    cfg = cfg or SolveConfig()
+    cfg = cfg or SolveConfig(n_out=201)
 
     def rhs(r: float, v: float, w: float) -> tuple[float, float]:
         # lambda1 e^v = (lambda2 / s) e^v loses its exponential exactly,
@@ -619,7 +618,7 @@ def boundary_solve(cone: ConeIndex, r0: float, v0: float, w0: float,
             raise StepFailure(f"boundary trajectory blow-up near r = {r:.6g}")
         return w, 0.25 * w * w - (-w / r - 0.25 * w * w) / s
 
-    nodes = np.linspace(r0, r_max, n_out)
+    nodes = np.linspace(r0, r_max, cfg.n_out)
     rows = [(r0, float(v0), float(w0))]
 
     def collect(rt: float, v: float, w: float) -> None:

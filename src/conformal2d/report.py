@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one named check on points_tested >= 1 points: pass iff
     max_error <= tolerance, with neither an infinite tolerance nor a
-    max_error of -inf.  Construction enforces all three (ValueError).
+    max_error of -inf.  Construction enforces all three (ValueError); passed
+    is derived from the numbers, so no stored verdict can disagree with them.
 
     witnesses holds the worst offending sample points as (label, error)
     pairs; extras carries check-specific numbers worth persisting.
@@ -19,22 +20,21 @@ class CheckReport:
     points_tested: int
     max_error: float
     tolerance: float
-    passed: bool
+    _: KW_ONLY
     witnesses: tuple = ()
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.points_tested < 1:
             raise ValueError(f"points_tested {self.points_tested!r} < 1")
-        if not isinstance(self.passed, bool):
-            raise ValueError(f"passed {self.passed!r} is not a bool")
         # the only non-finite numbers under which any error passes
         if self.tolerance == math.inf or self.max_error == -math.inf:
             raise ValueError(f"max_error {self.max_error!r} <= tolerance "
                              f"{self.tolerance!r} is vacuous")
-        if self.passed != (self.max_error <= self.tolerance):
-            raise ValueError(f"passed {self.passed!r} disagrees with max_error "
-                             f"{self.max_error!r} <= tolerance {self.tolerance!r}")
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_error <= self.tolerance)
 
     @classmethod
     def from_errors(cls, name: str, errors, tolerance: float,
@@ -47,7 +47,6 @@ class CheckReport:
             points_tested=len(errs),
             max_error=worst,
             tolerance=float(tolerance),
-            passed=worst <= tolerance,
             witnesses=tuple(witnesses),
             extras=dict(extras or {}),
         )

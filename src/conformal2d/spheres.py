@@ -61,12 +61,9 @@ def _kelvin(x: Vec2, lam: float, y1: np.ndarray, y2: np.ndarray,
     np.multiply(2.0, np.log(rho2 / (lam * lam)), out=out[2])
 
 
-def ms_value(u: ScalarField, x, lam: float, y) -> float | np.ndarray:
-    """Value-only evaluation of u_{x,lam}(y), cheaper than a jet: a float at a
-    point y, or an array of values at coordinate arrays y = (y1, y2)."""
-    if np.ndim(y) < 2:  # a point
-        yv = Vec2.of(y)
-        return float(ms_value(u, x, lam, ([yv.x1], [yv.x2]))[0])
+def ms_value(u: ScalarField, x, lam: float, y) -> np.ndarray:
+    """Value-only evaluation of u_{x,lam}, cheaper than a jet: an array of
+    values at coordinate arrays y = (y1, y2)."""
     y1, y2 = np.asarray(y, dtype=float)
     buf = np.empty((3,) + y1.shape)
     _kelvin(Vec2.of(x), lam, y1, y2, buf)

@@ -64,7 +64,8 @@ def ref_covariance_suite(seed=None, tol=1e-8):
         m = random_mobius(rng, conjugating=False)
         for fname, u in herm_fields:
             for p in valid_points(rng, 30, ref_usable_for(u, m)):
-                e_diag, e_off = invariance.b_covariance_errors_at(u, m, p)
+                [(e_diag, e_off)] = invariance.b_covariance_errors_at(
+                    m, [pullback_jets(u, m, p)])
                 label = f"hmap{mi}/{fname}@({p.x1:.3g},{p.x2:.3g})"
                 herm_rows.append((label, max(e_diag, e_off)))
     out.append(CheckReport.from_labeled("b-covariance", herm_rows, tol))

@@ -102,7 +102,7 @@ def test_full_matrix_law_fails_where_trace_holds():
 def test_b_covariance_translation_exact():
     u = Bubble(1.3, 6.0)
     m = MobiusMap.translation(Vec2(0.4, -0.2))
-    e_entry, e_eig = b_covariance_errors_at(u, m, Vec2(0.5, 0.1))
+    [(e_entry, e_eig)] = b_covariance_errors_at(m, [pullback_jets(u, m, Vec2(0.5, 0.1))])
     assert e_entry < 1e-15
     assert e_eig < 1e-15
 
@@ -110,8 +110,8 @@ def test_b_covariance_translation_exact():
 def test_b_covariance_rotation_and_generic():
     u = exp_example()
     for m in (MobiusMap.rotation(0.7), MobiusMap(1.0, 0.2, -0.1j, 1.0)):
-        for p in (Vec2(0.3, 0.4), Vec2(-0.6, 0.9)):
-            e_entry, e_eig = b_covariance_errors_at(u, m, p)
+        pts = [Vec2(0.3, 0.4), Vec2(-0.6, 0.9)]
+        for e_entry, e_eig in b_covariance_errors_at(m, pullback_jets(u, m, pts)):
             assert e_entry < 1e-10
             assert e_eig < 1e-10
 
@@ -119,7 +119,7 @@ def test_b_covariance_rotation_and_generic():
 def test_b_covariance_rejects_conjugating():
     m = MobiusMap.sphere_inversion(Vec2(0.0, 0.0), 1.0)
     with pytest.raises(ConjugatingUnsupported):
-        b_covariance_errors_at(Bubble(1.0, 8.0), m, Vec2(0.5, 0.5))
+        b_covariance_errors_at(m, [pullback_jets(Bubble(1.0, 8.0), m, Vec2(0.5, 0.5))])
 
 
 def test_random_sweep_all_three_forms():
@@ -142,6 +142,6 @@ def test_b_covariance_on_a_random_holomorphic_map():
     v = pullback(u, m)
     pts = valid_points(rng, 10, lambda p: math.isfinite(v.jet(p).value))
     assert len(pts) == 10
-    for p in pts:
-        e_entry, e_eig = b_covariance_errors_at(u, m, p)
+    errs = b_covariance_errors_at(m, pullback_jets(u, m, pts))
+    for p, (e_entry, e_eig) in zip(pts, errs):
         assert e_entry < 1e-8 and e_eig < 1e-8, p

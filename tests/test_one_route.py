@@ -1,15 +1,21 @@
 """The covariance and trace suites reach their residual functions by one
 route: src/ defines none of the report builders, one-point modes and
-wrappers that only tests called, and covariance_errors_at and
-trace_residual_at each take a block of points and nothing else."""
+wrappers that only tests called, and covariance_errors_at,
+b_covariance_errors_at and trace_residual_at each take a block of points
+and nothing else.  No argument restates what another one fixes: a check's
+verdict, an ODE's cone or a march's node count."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
 
 import conformal2d
 import conformal2d.invariance as invariance
+from conformal2d import CheckReport, boundary_solve, ode_solve
+from conformal2d.spheres import ms_value
 
 SRC = Path(conformal2d.__file__).parent
 DELETED = {"check_a_covariance", "check_b_covariance", "check_trace_conformal",
@@ -40,12 +46,40 @@ def is_none_test(node):
                     for side in [node.left, *node.comparators]))
 
 
-@pytest.mark.parametrize("name", ["covariance_errors_at", "trace_residual_at"])
+PARAMETERS = {
+    "covariance_errors_at": ["m", "jets"],
+    "b_covariance_errors_at": ["m", "jets"],
+    "trace_residual_at": ["u", "psi", "pts"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
 def test_each_residual_function_has_one_signature(name):
     tree = ast.parse(Path(invariance.__file__).read_text())
     [fn] = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    assert [a.arg for a in fn.args.args] == PARAMETERS[name]
+    assert not (fn.args.vararg or fn.args.kwarg or fn.args.kwonlyargs or fn.args.posonlyargs)
     assert not fn.args.defaults and not fn.args.kw_defaults
     isinstance_calls = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Name) and node.func.id == "isinstance"]
     assert not isinstance_calls
     assert not [node for node in ast.walk(fn) if is_none_test(node)]
+
+
+def test_ms_value_takes_coordinate_arrays_only():
+    tree = ast.parse(inspect.getsource(ms_value))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "ndim"]
+
+
+def test_the_radial_solvers_read_the_cone_and_node_count_they_are_given():
+    # ode_solve solves on f.cone; boundary_solve marches onto cfg.n_out nodes
+    assert "cone" not in inspect.signature(ode_solve).parameters
+    assert "n_out" not in inspect.signature(boundary_solve).parameters
+
+
+def test_check_report_stores_no_verdict():
+    fields = {f.name: f for f in dataclasses.fields(CheckReport)}
+    assert "passed" not in fields
+    assert fields["witnesses"].kw_only and fields["extras"].kw_only
+    assert not any(f.kw_only for name, f in fields.items() if name not in ("witnesses", "extras"))

@@ -421,9 +421,8 @@ class TestBoundarySolve:
 
     def run(self, r_max=2.8):
         # v' steepens toward the pole at 3, so ask for tight steps
-        cfg = SolveConfig(rtol=1e-10, atol=1e-13)
-        return boundary_solve(ConeIndex(1.5), 1.0, 0.0, -6.0, r_max,
-                              n_out=181, cfg=cfg)
+        cfg = SolveConfig(rtol=1e-10, atol=1e-13, n_out=181)
+        return boundary_solve(ConeIndex(1.5), 1.0, 0.0, -6.0, r_max, cfg=cfg)
 
     def test_matches_riccati_solution(self):
         res = self.run()

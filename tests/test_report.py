@@ -24,6 +24,6 @@ def test_max_error_and_verdict_without_nan():
 def test_a_row_that_tests_no_point_is_refused():
     for points in (0, -1):
         with pytest.raises(ValueError, match=f"points_tested {points} < 1"):
-            CheckReport("row", points, 0.0, 1.0, True)
+            CheckReport("row", points, 0.0, 1.0)
     with pytest.raises(ValueError, match="points_tested 0 < 1"):
         CheckReport.from_errors("empty", [], 0.0)

@@ -119,16 +119,19 @@ def test_bubble_with_its_default_center_codes_bit_for_bit():
     assert field_from_dict({"family": "bubble", "a": 1.25, "b": 3.0}) == u
 
 
-@pytest.mark.parametrize("max_error, tolerance, passed", [
-    (0.5, 1.0, False), (2.0, 1.0, True), (math.nan, 1.0, True), (1.0, 1.0, False),
-    (0.0, 0.0, 1), (0.0, 0.0, np.True_), (0.0, 0.0, None),
+@pytest.mark.parametrize("max_error, tolerance", [
+    (0.5, 1.0), (2.0, 1.0), (math.nan, 1.0), (1.0, 1.0),
 ])
-def test_check_report_refuses_a_verdict_that_disagrees(max_error, tolerance, passed):
-    with pytest.raises(ValueError, match="passed"):
-        CheckReport("row", 1, max_error, tolerance, passed)
+def test_check_report_derives_its_verdict_and_takes_none(max_error, tolerance):
+    assert CheckReport("row", 1, max_error, tolerance).passed is (max_error <= tolerance)
+    # no verdict argument, positional or by name, so none can disagree
+    with pytest.raises(TypeError):
+        CheckReport("row", 1, max_error, tolerance, max_error <= tolerance)
+    with pytest.raises(TypeError):
+        CheckReport("row", 1, max_error, tolerance, passed=max_error <= tolerance)
 
 
 def test_check_report_keeps_an_agreeing_verdict():
-    assert CheckReport("row", 1, 1.0, 1.0, True).passed is True
-    assert CheckReport("row", 1, math.nan, 1.0, False).passed is False
-    assert CheckReport("row", 1, np.float64(0.5), np.float64(1.0), True).passed is True
+    assert CheckReport("row", 1, 1.0, 1.0).passed is True
+    assert CheckReport("row", 1, math.nan, 1.0).passed is False
+    assert CheckReport("row", 1, np.float64(0.5), np.float64(1.0)).passed is True
